@@ -2,11 +2,11 @@ GO ?= go
 
 .PHONY: check vet build test race bench-smoke bench figures
 
-# check is the full pre-merge gate: vet, build, tests, the race
-# detector over the internal packages (including a forced-parallel
-# pass over the experiment worker pool), and a one-iteration smoke
-# over every benchmark.
-check: vet build test race bench-smoke
+# check is the full pre-merge gate. It runs scripts/check.sh, the one
+# list of vet/build/test/race passes, benchmark smokes, zero-alloc
+# gates and end-to-end byte-identity smokes, so the two cannot drift.
+check:
+	./scripts/check.sh
 
 vet:
 	$(GO) vet ./...

@@ -7,14 +7,19 @@
 package idio_test
 
 import (
+	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"idio"
 	"idio/internal/apps"
 	idiocore "idio/internal/core"
+	"idio/internal/cpu"
 	"idio/internal/experiment"
 	fnet "idio/internal/net"
 	"idio/internal/sim"
+	"idio/internal/stats"
 	"idio/internal/traffic"
 )
 
@@ -261,6 +266,69 @@ func BenchmarkMillionFlowSteadyState(b *testing.B) {
 	if reqs > 0 {
 		nsPerReq := float64(b.Elapsed().Nanoseconds()) / float64(reqs)
 		b.ReportMetric(nsPerReq, "ns/req")
+	}
+}
+
+// BenchmarkCollectAfterHistory measures one System.Collect snapshot —
+// per-core latency percentiles, mean and the metric registry's gauges —
+// after a long latency history, with 1k new samples per core recorded
+// between snapshots, as a run collecting after every step sees it. One
+// op is one Collect, and ns/op times the Collect calls alone. The
+// history is restored whenever the new samples would grow it past 10%,
+// so ns/op belongs to the named history size whatever b.N is;
+// comparing the two sizes shows how much a snapshot's cost still grows
+// with the length of the run.
+func BenchmarkCollectAfterHistory(b *testing.B) {
+	for _, hist := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("history=%dk", hist/1000), func(b *testing.B) {
+			const perStep = 1000
+			cfg := idio.DefaultConfig(2)
+			cfg.Hier.MLCSize = benchMLC
+			cfg.Hier.LLCSize = benchLLC
+			cfg.NIC.RingSize = benchRing
+			sys := idio.NewSystem(cfg)
+			var cores []*cpu.Core
+			for c := 0; c < cfg.NumCores(); c++ {
+				cores = append(cores, sys.AddNF(c, apps.TouchDrop{}, sys.DefaultFlow(c)))
+			}
+			// Deterministic latencies spread over 1-10 µs, so every
+			// batch of new samples interleaves with the history.
+			x := uint64(1)
+			next := func() sim.Duration {
+				x = x*6364136223846793005 + 1442695040888963407
+				return sim.Microsecond + sim.Duration(x>>33)%(9*sim.Microsecond)
+			}
+			history := make([]sim.Duration, hist)
+			for i := range history {
+				history[i] = next()
+			}
+			slices.Sort(history)
+			steps := max(1, hist/10/perStep)
+			var collect time.Duration
+			for i := 0; i < b.N; i++ {
+				if i%steps == 0 {
+					for _, c := range cores {
+						c.Latencies = stats.NewLatencyDist()
+						c.Latencies.Reserve(hist + steps*perStep)
+						for _, v := range history {
+							c.Latencies.Record(v)
+						}
+					}
+					sys.Collect()
+				}
+				for _, c := range cores {
+					for j := 0; j < perStep; j++ {
+						c.Latencies.Record(next())
+					}
+				}
+				start := time.Now()
+				sys.Collect()
+				collect += time.Since(start)
+			}
+			// Only the snapshots count: ns/op excludes restoring the
+			// history and recording the new samples.
+			b.ReportMetric(float64(collect.Nanoseconds())/float64(b.N), "ns/op")
+		})
 	}
 }
 

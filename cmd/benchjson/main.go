@@ -22,8 +22,11 @@
 //	                     metric (ns/pkt when present, ns/op otherwise)
 //	                     regressed by more than 10%
 //	-history hist.jsonl  append this run's condensed results as one
-//	                     JSON line (with -label and a UTC timestamp),
-//	                     building a per-PR performance ledger
+//	                     JSON line (with -label, a UTC timestamp and a
+//	                     host fingerprint: CPU model, CPU count,
+//	                     GOMAXPROCS and Go version), building a per-PR
+//	                     performance ledger whose wall-clock numbers
+//	                     say which machine they came from
 package main
 
 import (
@@ -33,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,7 +91,7 @@ func main() {
 		}
 	}
 	if *history != "" {
-		if err := appendHistory(*history, *label, results); err != nil {
+		if err := appendHistory(*history, *label, currentHost(), results); err != nil {
 			fatal(err)
 		}
 	}
@@ -138,9 +142,51 @@ func compare(results map[string]map[string]float64, path string) error {
 	return nil
 }
 
-// appendHistory appends one compact JSON line {label, utc, results} to
-// the ledger so successive PRs accumulate a queryable perf timeline.
-func appendHistory(path, label string, results map[string]map[string]float64) error {
+// hostInfo fingerprints the machine a ledger entry was measured on.
+// Wall-clock results are comparable only between entries whose hosts
+// match. GOMAXPROCS and the Go version are this process's, which
+// bench.sh runs in the same environment and toolchain as the
+// benchmarks.
+type hostInfo struct {
+	CPU        string `json:"cpu"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	Go         string `json:"go"`
+}
+
+func currentHost() hostInfo {
+	h := hostInfo{
+		CPU:        "unknown",
+		NumCPU:     runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Go:         runtime.Version(),
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		if m := cpuModel(f); m != "" {
+			h.CPU = m
+		}
+	}
+	return h
+}
+
+// cpuModel returns the first "model name" value of a /proc/cpuinfo
+// listing, or "" when there is none.
+func cpuModel(r io.Reader) string {
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
+}
+
+// appendHistory appends one compact JSON line {label, utc, host,
+// results} to the ledger so successive PRs accumulate a queryable perf
+// timeline.
+func appendHistory(path, label string, host hostInfo, results map[string]map[string]float64) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -149,8 +195,9 @@ func appendHistory(path, label string, results map[string]map[string]float64) er
 	entry := struct {
 		Label   string                        `json:"label"`
 		UTC     string                        `json:"utc"`
+		Host    hostInfo                      `json:"host"`
 		Results map[string]map[string]float64 `json:"results"`
-	}{label, time.Now().UTC().Format(time.RFC3339), results}
+	}{label, time.Now().UTC().Format(time.RFC3339), host, results}
 	enc := json.NewEncoder(f)
 	return enc.Encode(entry)
 }

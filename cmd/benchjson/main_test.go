@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bufio"
+	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -46,5 +50,54 @@ func TestParseIgnoresGarbage(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Fatalf("expected no results, got %v", got)
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	in := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n\nprocessor\t: 1\nmodel name\t: other\n"
+	if got := cpuModel(strings.NewReader(in)); got != "Intel(R) Xeon(R) Processor" {
+		t.Fatalf("cpuModel = %q", got)
+	}
+	if got := cpuModel(strings.NewReader("processor\t: 0\n")); got != "" {
+		t.Fatalf("cpuModel without a model line = %q, want empty", got)
+	}
+}
+
+// Every ledger line carries the host fingerprint, and appending leaves
+// the lines already in the ledger untouched.
+func TestAppendHistoryRecordsHost(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "hist.jsonl")
+	old := `{"label":"old","utc":"2026-01-01T00:00:00Z","results":{}}` + "\n"
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	host := hostInfo{CPU: "cpu", NumCPU: 2, GOMAXPROCS: 2, Go: "go1.x"}
+	res := map[string]map[string]float64{"BenchmarkX": {"ns/op": 1}}
+	if err := appendHistory(path, "pr1-abc", host, res); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(raw), old) {
+		t.Fatalf("existing ledger line changed:\n%s", raw)
+	}
+	sc := bufio.NewScanner(strings.NewReader(string(raw[len(old):])))
+	if !sc.Scan() {
+		t.Fatal("no line appended")
+	}
+	var entry struct {
+		Label string
+		Host  hostInfo
+	}
+	if err := json.Unmarshal(sc.Bytes(), &entry); err != nil {
+		t.Fatal(err)
+	}
+	if entry.Label != "pr1-abc" || entry.Host != host {
+		t.Fatalf("appended entry %+v", entry)
+	}
+	if h := currentHost(); h.NumCPU < 1 || h.GOMAXPROCS < 1 || h.Go == "" || h.CPU == "" {
+		t.Fatalf("currentHost = %+v", h)
 	}
 }

@@ -86,7 +86,9 @@ type Line struct {
 	// IO marks lines written by a PCIe transaction that have not yet
 	// been re-classified by a CPU-side fill. The DMA-bloating analysis
 	// (Sec. III, Observation 3) depends on tracking when I/O data loses
-	// this classification.
+	// this classification. Change it only through Insert or MarkIO: the
+	// cache counts IO lines incrementally, and a write through a Lookup
+	// pointer would bypass the count.
 	IO      bool
 	lastUse uint64
 }
@@ -137,6 +139,7 @@ type Cache struct {
 	plru     []uint64 // one tree per set (TreePLRU only)
 	useClock uint64
 	occ      int // valid-line count, maintained incrementally
+	occIO    int // valid lines with the IO bit set, maintained incrementally
 	stats    Stats
 }
 
@@ -267,7 +270,7 @@ func (c *Cache) Insert(lineAddr uint64, dirty, io bool, mask WayMask) (Victim, b
 	c.stats.Inserts++
 	if way, ln := c.find(lineAddr); ln != nil {
 		ln.Dirty = ln.Dirty || dirty
-		ln.IO = io
+		c.setIO(ln, io)
 		c.touch(lineAddr, way)
 		return Victim{}, false
 	}
@@ -282,9 +285,15 @@ func (c *Cache) Insert(lineAddr uint64, dirty, io bool, mask WayMask) (Victim, b
 		if v.Dirty {
 			c.stats.DirtyEvict++
 		}
+		if v.IO {
+			c.occIO--
+		}
 	}
 	if !evicted {
 		c.occ++
+	}
+	if io {
+		c.occIO++
 	}
 	set[way] = Line{Addr: lineAddr, Valid: true, Dirty: dirty, IO: io}
 	c.tags[c.setIndex(lineAddr)*c.cfg.Assoc+way] = lineAddr
@@ -360,6 +369,9 @@ func (c *Cache) Invalidate(lineAddr uint64) (present, dirty bool) {
 	}
 	c.stats.Invals++
 	dirty = ln.Dirty
+	if ln.IO {
+		c.occIO--
+	}
 	*ln = Line{}
 	c.tags[c.setIndex(lineAddr)*c.cfg.Assoc+way] = invalidTag
 	c.occ--
@@ -377,6 +389,30 @@ func (c *Cache) SetDirty(lineAddr uint64) bool {
 	return true
 }
 
+// MarkIO classifies a resident line as I/O data (a DMA write updating
+// it in place); it reports whether the line was present.
+func (c *Cache) MarkIO(lineAddr uint64) bool {
+	_, ln := c.find(lineAddr)
+	if ln == nil {
+		return false
+	}
+	c.setIO(ln, true)
+	return true
+}
+
+// setIO sets a valid line's IO bit, keeping occIO in step.
+func (c *Cache) setIO(ln *Line, io bool) {
+	if ln.IO == io {
+		return
+	}
+	ln.IO = io
+	if io {
+		c.occIO++
+	} else {
+		c.occIO--
+	}
+}
+
 // Occupancy returns the number of valid lines in O(1).
 func (c *Cache) Occupancy() int { return c.occ }
 
@@ -386,16 +422,8 @@ func (c *Cache) LoadFraction() float64 {
 }
 
 // OccupancyIO returns the number of valid lines still classified as
-// I/O data.
-func (c *Cache) OccupancyIO() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].Valid && c.lines[i].IO {
-			n++
-		}
-	}
-	return n
-}
+// I/O data in O(1).
+func (c *Cache) OccupancyIO() int { return c.occIO }
 
 // ForEach visits every valid line. Mutating the cache during iteration
 // is not allowed.
@@ -421,6 +449,7 @@ func (c *Cache) Flush() []Victim {
 		c.tags[i] = invalidTag
 	}
 	c.occ = 0
+	c.occIO = 0
 	return out
 }
 

@@ -456,6 +456,56 @@ func TestQuickOccupancyCounterMatchesScan(t *testing.T) {
 	}
 }
 
+// Property: the O(1) IO-line counter always equals a full scan of
+// valid IO lines, under every policy, after every operation: io and
+// non-io fills and in-place updates through masked ways, touching and
+// non-touching lookups, invalidations, flushes and MarkIO.
+func TestQuickOccupancyIOMatchesScan(t *testing.T) {
+	scanIO := func(c *Cache) int {
+		n := 0
+		c.ForEach(func(l Line) {
+			if l.IO {
+				n++
+			}
+		})
+		return n
+	}
+	masks := []WayMask{AllWays, FirstN(1), FirstN(2), ExceptFirstN(2), 0b1010_0101}
+	for _, policy := range []Policy{LRU, TreePLRU, SRRIP} {
+		for seed := int64(1); seed <= 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			c := New(Config{Name: "q", SizeBytes: 64 * 64, Assoc: 8, Policy: policy})
+			for op := 0; op < 2000; op++ {
+				// 8 sets and 160 addresses: most fills evict, many hit.
+				line := uint64(rng.Intn(160))
+				switch k := rng.Intn(20); {
+				case k < 10:
+					c.Insert(line, rng.Intn(2) == 0, rng.Intn(2) == 0, masks[rng.Intn(len(masks))])
+				case k < 13:
+					present := c.Contains(line)
+					if c.MarkIO(line) != present {
+						t.Fatalf("%v seed %d op %d: MarkIO(%d) disagrees with Contains", policy, seed, op, line)
+					}
+					if present && !c.Lookup(line, false).IO {
+						t.Fatalf("%v seed %d op %d: MarkIO left line %d non-IO", policy, seed, op, line)
+					}
+				case k < 16:
+					c.Invalidate(line)
+				case k < 19:
+					c.Lookup(line, rng.Intn(2) == 0)
+				default:
+					if rng.Intn(10) == 0 {
+						c.Flush()
+					}
+				}
+				if got, want := c.OccupancyIO(), scanIO(c); got != want {
+					t.Fatalf("%v seed %d op %d: OccupancyIO = %d, scan = %d", policy, seed, op, got, want)
+				}
+			}
+		}
+	}
+}
+
 // Property: SRRIP victim selection always terminates and stays within
 // the mask for arbitrary fill sequences.
 func TestQuickSRRIPMaskedFills(t *testing.T) {

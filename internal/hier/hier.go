@@ -510,7 +510,9 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 	if ln := h.llc.Lookup(la, true); ln != nil {
 		// In-place update (P2-2/P3-1 in Fig. 1).
 		ln.Dirty = true
-		ln.IO = true
+		if !ln.IO {
+			h.llc.MarkIO(la)
+		}
 		h.stats.DDIOUpdate++
 		return h.llcLat
 	}

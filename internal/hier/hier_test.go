@@ -201,6 +201,43 @@ func TestPCIeWriteInvalidatesMLCCopy(t *testing.T) {
 	}
 }
 
+// A DDIO write that hits a CPU-owned line resident in the LLC updates
+// it in place and re-classifies it as I/O data; the LLC's incremental
+// IO-line count must follow the flip.
+func TestPCIeWriteInPlaceMarksCPULineIO(t *testing.T) {
+	h := small(t)
+	// Core 0 dirties line 5, then four more lines of the same MLC set
+	// (16 sets, 4 ways) push it out into the LLC as a CPU line.
+	h.CoreWrite(0, 0, 5)
+	for i := 1; i <= 4; i++ {
+		h.CoreWrite(0, 0, mem.LineAddr(5+16*i))
+	}
+	if got := h.Residency(5); got != "llc" {
+		t.Fatalf("line 5 resident in %q, want llc", got)
+	}
+	if h.LLCOccupancyIO() != 0 {
+		t.Fatalf("CPU writeback counted as IO: %d", h.LLCOccupancyIO())
+	}
+	h.PCIeWrite(0, 5)
+	if h.Stats().DDIOUpdate != 1 || h.Stats().DDIOAlloc != 0 {
+		t.Fatalf("want one in-place update: %+v", h.Stats())
+	}
+	scan := 0
+	h.llc.ForEach(func(l cache.Line) {
+		if l.IO {
+			scan++
+		}
+	})
+	if h.LLCOccupancyIO() != 1 || scan != 1 {
+		t.Fatalf("IO lines: counter %d, scan %d, want 1", h.LLCOccupancyIO(), scan)
+	}
+	// A second write to the now-IO line leaves the count alone.
+	h.PCIeWrite(0, 5)
+	if h.LLCOccupancyIO() != 1 {
+		t.Fatalf("IO lines after repeat write: %d", h.LLCOccupancyIO())
+	}
+}
+
 func TestPCIeReadMovesMLCLineToLLC(t *testing.T) {
 	h := small(t)
 	h.PCIeWrite(0, 3)

@@ -15,6 +15,7 @@ import (
 type Histogram struct {
 	subBits uint
 	counts  [][]uint64 // [magnitude][sub-bucket]
+	rows    []uint64   // per-magnitude total of counts[mag]
 	total   uint64
 	min     sim.Duration
 	max     sim.Duration
@@ -59,9 +60,10 @@ func (h *Histogram) lowerBound(mag, sub int) sim.Duration {
 func (h *Histogram) Record(v sim.Duration) {
 	mag, sub := h.bucketFor(v)
 	for len(h.counts) <= mag {
-		h.counts = append(h.counts, make([]uint64, 1<<h.subBits))
+		h.grow()
 	}
 	h.counts[mag][sub]++
+	h.rows[mag]++
 	h.total++
 	h.sum += int64(v)
 	if h.min < 0 || v < h.min {
@@ -72,16 +74,20 @@ func (h *Histogram) Record(v sim.Duration) {
 	}
 }
 
+// grow adds one magnitude row.
+func (h *Histogram) grow() {
+	h.counts = append(h.counts, make([]uint64, 1<<h.subBits))
+	h.rows = append(h.rows, 0)
+}
+
 // Reset clears every recorded sample while keeping the allocated
 // bucket storage, so windowed collectors (per-phase percentiles in
 // chaos runs) can reuse one histogram without per-window allocation.
 func (h *Histogram) Reset() {
 	for mag := range h.counts {
-		row := h.counts[mag]
-		for i := range row {
-			row[i] = 0
-		}
+		clear(h.counts[mag])
 	}
+	clear(h.rows)
 	h.total = 0
 	h.min = -1
 	h.max = 0
@@ -104,13 +110,17 @@ func (h *Histogram) Merge(o *Histogram) {
 		panic(fmt.Sprintf("stats: merging histograms with subBits %d and %d", o.subBits, h.subBits))
 	}
 	for len(h.counts) < len(o.counts) {
-		h.counts = append(h.counts, make([]uint64, 1<<h.subBits))
+		h.grow()
 	}
 	for mag := range o.counts {
+		if o.rows[mag] == 0 {
+			continue
+		}
 		row := h.counts[mag]
 		for sub, c := range o.counts[mag] {
 			row[sub] += c
 		}
+		h.rows[mag] += o.rows[mag]
 	}
 	h.total += o.total
 	h.sum += o.sum
@@ -146,7 +156,8 @@ func (h *Histogram) Max() sim.Duration { return h.max }
 
 // Quantile returns an estimate of the q-quantile (0 < q <= 1), with
 // relative error bounded by the bucket resolution. Exact min/max are
-// returned at the extremes.
+// returned at the extremes. The per-magnitude row totals let it skip
+// every row below the rank, so it scans at most one row's sub-buckets.
 func (h *Histogram) Quantile(q float64) sim.Duration {
 	if h.total == 0 {
 		return 0
@@ -163,6 +174,10 @@ func (h *Histogram) Quantile(q float64) sim.Duration {
 	}
 	var seen uint64
 	for mag := range h.counts {
+		if seen+h.rows[mag] <= rank {
+			seen += h.rows[mag]
+			continue
+		}
 		for sub, c := range h.counts[mag] {
 			seen += c
 			if seen > rank {

@@ -6,6 +6,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"idio/internal/sim"
@@ -175,9 +176,21 @@ func (ls *LevelSeries) Last() float64 {
 // LatencyDist collects per-packet latencies and answers percentile
 // queries. Samples are stored raw (the experiments collect at most a
 // few hundred thousand packets) so percentiles are exact.
+//
+// Queries cost what changed since the previous query, not the whole
+// history: the store is a sorted prefix followed by an unsorted tail
+// of samples recorded since. A percentile query sorts only the tail
+// and merges it into the prefix (see settle), so a caller that
+// snapshots after every simulation step pays O(new·log new)
+// comparisons and at most one memmove of the prefix per snapshot,
+// instead of re-sorting the whole history. Mean and Max come from a
+// running sum and maximum in O(1).
 type LatencyDist struct {
-	samples []sim.Duration
-	sorted  bool
+	samples []sim.Duration // samples[:sorted] ascending, then the unsorted tail
+	sorted  int
+	scratch []sim.Duration // reused copy of the tail during a merge
+	sum     int64
+	max     sim.Duration
 }
 
 // NewLatencyDist returns an empty distribution.
@@ -186,7 +199,10 @@ func NewLatencyDist() *LatencyDist { return &LatencyDist{} }
 // Record adds one latency sample.
 func (d *LatencyDist) Record(v sim.Duration) {
 	d.samples = append(d.samples, v)
-	d.sorted = false
+	d.sum += int64(v)
+	if v > d.max {
+		d.max = v
+	}
 }
 
 // Reserve pre-grows the sample store to hold at least n samples, so a
@@ -203,6 +219,71 @@ func (d *LatencyDist) Reserve(n int) {
 // Count returns the number of samples.
 func (d *LatencyDist) Count() int { return len(d.samples) }
 
+// settle sorts the unsorted tail and merges it into the sorted prefix.
+// The merge runs from the back so it needs a buffer only for the tail;
+// each run of prefix samples larger than the next tail sample is found
+// by galloping back from the end and moved with one copy. A tail longer
+// than an eighth of the prefix is instead sorted together with it: a
+// run that snapshots rarely then re-sorts in place as it always did,
+// and the merge buffer never holds more than a ninth of the samples.
+func (d *LatencyDist) settle() {
+	n := len(d.samples)
+	if d.sorted == n {
+		return
+	}
+	tail := d.samples[d.sorted:]
+	if len(tail) > d.sorted/8 {
+		slices.Sort(d.samples)
+		d.sorted = n
+		return
+	}
+	slices.Sort(tail)
+	i := d.sorted - 1 // last unmerged prefix sample
+	d.sorted = n
+	if d.samples[i] <= tail[0] {
+		return
+	}
+	d.scratch = append(d.scratch[:0], tail...)
+	src := d.scratch
+	k := n // samples[k:] is merged
+	for j := len(src) - 1; j >= 0; {
+		// Prefix samples above src[j] all land after it.
+		p := gallopAbove(d.samples[:i+1], src[j])
+		k -= i + 1 - p
+		copy(d.samples[k:], d.samples[p:i+1])
+		i = p - 1
+		if i < 0 {
+			copy(d.samples, src[:j+1])
+			return
+		}
+		// Tail samples at or above the prefix's new last one come next.
+		q := j
+		for q > 0 && src[q-1] >= d.samples[i] {
+			q--
+		}
+		k -= j + 1 - q
+		copy(d.samples[k:], src[q:j+1])
+		j = q - 1
+	}
+}
+
+// gallopAbove returns the start of the run of samples greater than v
+// at the end of the ascending slice s. It probes backwards from the end
+// in doubling steps and then binary-searches the last step, so it costs
+// O(log run) and touches memory near the end first — a binary search
+// over the whole prefix would take a cache miss at almost every probe.
+func gallopAbove(s []sim.Duration, v sim.Duration) int {
+	hi, step := len(s), 1
+	for hi > 0 && s[hi-1] > v {
+		lo := max(hi-step, 0)
+		if s[lo] <= v {
+			return lo + 1 + sort.Search(hi-1-lo, func(x int) bool { return s[lo+1+x] > v })
+		}
+		hi, step = lo, step*2
+	}
+	return hi
+}
+
 // Percentile returns the p-th percentile (0 < p <= 100) using the
 // nearest-rank method. It returns 0 for an empty distribution.
 func (d *LatencyDist) Percentile(p float64) sim.Duration {
@@ -212,10 +293,7 @@ func (d *LatencyDist) Percentile(p float64) sim.Duration {
 	if p <= 0 || p > 100 {
 		panic(fmt.Sprintf("stats: percentile %v out of range", p))
 	}
-	if !d.sorted {
-		sort.Slice(d.samples, func(i, j int) bool { return d.samples[i] < d.samples[j] })
-		d.sorted = true
-	}
+	d.settle()
 	rank := int(p/100*float64(len(d.samples))+0.9999999) - 1
 	if rank < 0 {
 		rank = 0
@@ -237,23 +315,12 @@ func (d *LatencyDist) Mean() sim.Duration {
 	if len(d.samples) == 0 {
 		return 0
 	}
-	var sum int64
-	for _, v := range d.samples {
-		sum += int64(v)
-	}
-	return sim.Duration(sum / int64(len(d.samples)))
+	return sim.Duration(d.sum / int64(len(d.samples)))
 }
 
-// Max returns the maximum sample.
-func (d *LatencyDist) Max() sim.Duration {
-	var m sim.Duration
-	for _, v := range d.samples {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
+// Max returns the maximum sample (0 when empty or all samples are
+// negative).
+func (d *LatencyDist) Max() sim.Duration { return d.max }
 
 // Gbps converts a byte count over a duration to gigabits per second.
 func Gbps(bytes uint64, over sim.Duration) float64 {
