@@ -218,6 +218,33 @@ func BenchmarkPacketLifecycle(b *testing.B) {
 	}
 }
 
+// BenchmarkBurstIdle measures a polling host on bursty traffic, where
+// most simulated time is idle: a 2-core DDIO host takes one 2048-frame
+// burst (1024 per core at 100 Gbps) every 10 ms, and one op is one
+// whole period — the burst, then both cores parked until the next.
+// It reports host ns per simulated ms and simulator events per received
+// packet; the event count is exact, so it moves only when the model's
+// scheduling does (TestIdleWorkCount gates it).
+func BenchmarkBurstIdle(b *testing.B) {
+	sys := newIdleGapHost(b.N + 1)
+	sys.Start()
+	now := idleStart.Add(idlePeriod)
+	sys.Sim.RunUntil(now) // warm-up period
+	events, rx := sys.Sim.Processed(), sys.NIC.Stats().RxPackets
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now = now.Add(idlePeriod)
+		sys.Sim.RunUntil(now)
+	}
+	b.StopTimer()
+	simMs := float64(b.N) * float64(idlePeriod) / float64(sim.Millisecond)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/simMs, "ns/sim-ms")
+	if pkts := sys.NIC.Stats().RxPackets - rx; pkts > 0 {
+		b.ReportMetric(float64(sys.Sim.Processed()-events)/float64(pkts), "events/pkt")
+	}
+}
+
 // BenchmarkMillionFlowSteadyState measures the per-request cost of the
 // million-flow engine: one million concurrent flows resident in the
 // compact flow table, one hashed timer wheel carrying every deadline,

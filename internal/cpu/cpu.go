@@ -28,7 +28,9 @@ type Driver int
 
 const (
 	// DriverPolling is the DPDK-style PMD: the core spins, re-polling
-	// every PollInterval when idle.
+	// every PollInterval when idle. The idle re-polls are parked in the
+	// event kernel (sim.Poller) and elided until a descriptor completes
+	// or a stall is injected; outputs equal those of scheduling each one.
 	DriverPolling Driver = iota
 	// DriverInterrupt is a NAPI-style driver: the core sleeps until
 	// the NIC's completion interrupt fires, pays IRQLatency to wake,
@@ -382,6 +384,10 @@ type Core struct {
 	// pollFn is c.poll bound once at Start, so re-poll scheduling does
 	// not allocate a method value per event.
 	pollFn sim.Event
+	// poller parks the idle polling loop (polling driver only);
+	// parkSkips is its Skipped count when it last parked.
+	poller    *sim.Poller
+	parkSkips uint64
 	// batch and releasable are reused across polls (capacity
 	// BatchSize) so the steady-state driver loop allocates nothing.
 	batch      []*nic.Slot
@@ -456,7 +462,30 @@ func (c *Core) Start(s *sim.Simulator) {
 		}
 		c.irqArmed = true
 	default:
+		// A ring slot becomes ready only in the NIC's descriptor
+		// write-back, which runs the completion hooks: that is the one
+		// place a parked core needs waking.
+		c.poller = s.NewPoller(c.cfg.PollInterval, c.pollFn)
+		for _, p := range c.env.Ports {
+			p.OnCompletion(c.id, c.ringReady)
+		}
 		s.At(s.Now(), c.pollFn)
+	}
+}
+
+// ringReady is the polling driver's completion hook: a descriptor just
+// became visible, so a parked core must run its next poll.
+func (c *Core) ringReady(*sim.Simulator) { c.unpark() }
+
+// unpark wakes a parked polling loop at the slot its next scheduled
+// poll would have had, first rotating the round-robin port cursor past
+// the polls elided while parked (each empty poll advances it by one).
+func (c *Core) unpark() {
+	if c.poller == nil || !c.poller.Wake() {
+		return
+	}
+	if n := uint64(len(c.env.Rings)); n > 1 {
+		c.rrNext = int((uint64(c.rrNext) + c.poller.Skipped() - c.parkSkips) % n)
 	}
 }
 
@@ -481,60 +510,57 @@ func (c *Core) InjectStall(now sim.Time, d sim.Duration) {
 	if until > c.stallUntil {
 		c.stallUntil = until
 	}
+	// A parked loop must take its next poll for real: that poll is the
+	// one that honours the stall.
+	if until > now {
+		c.unpark()
+	}
 }
 
 // Stalled reports whether the core is inside an injected stall at now.
 func (c *Core) Stalled(now sim.Time) bool { return now < c.stallUntil }
 
 // poll implements the driver loop: gather a burst of visible
-// descriptors and process it. When idle, a polling driver re-polls
-// after PollInterval; an interrupt driver re-arms and sleeps.
+// descriptors and process it. When idle, a polling driver parks its
+// re-poll PollInterval ahead (elided until a ring completes a
+// descriptor or a stall is injected); an interrupt driver re-arms and
+// sleeps.
 func (c *Core) poll(s *sim.Simulator) {
-	for {
-		if s.Now() < c.stallUntil {
-			// Injected slow-core stall: defer the whole loop (including
-			// interrupt-mode wakeups) until the stall expires.
-			c.StallsTaken++
-			c.StallTime += c.stallUntil.Sub(s.Now())
-			s.At(c.stallUntil, c.pollFn)
-			return
+	if s.Now() < c.stallUntil {
+		// Injected slow-core stall: defer the whole loop (including
+		// interrupt-mode wakeups) until the stall expires.
+		c.StallsTaken++
+		c.StallTime += c.stallUntil.Sub(s.Now())
+		s.At(c.stallUntil, c.pollFn)
+		return
+	}
+	c.batch = c.batch[:0]
+	// Service the ports round-robin, rotating the starting port each
+	// poll so no port starves another.
+	nRings := len(c.env.Rings)
+	start := c.rrNext
+	c.rrNext = (c.rrNext + 1) % nRings
+	empty := 0
+	for len(c.batch) < c.cfg.BatchSize && empty < nRings {
+		ring := c.env.Rings[start]
+		start = (start + 1) % nRings
+		slot := ring.Poll(s.Now())
+		if slot == nil {
+			empty++
+			continue
 		}
-		c.batch = c.batch[:0]
-		// Service the ports round-robin, rotating the starting port each
-		// poll so no port starves another.
-		nRings := len(c.env.Rings)
-		start := c.rrNext
-		c.rrNext = (c.rrNext + 1) % nRings
-		empty := 0
-		for len(c.batch) < c.cfg.BatchSize && empty < nRings {
-			ring := c.env.Rings[start]
-			start = (start + 1) % nRings
-			slot := ring.Poll(s.Now())
-			if slot == nil {
-				empty++
-				continue
-			}
-			empty = 0
-			ring.Consume()
-			c.batch = append(c.batch, slot)
-		}
-		if len(c.batch) > 0 {
-			break
-		}
+		empty = 0
+		ring.Consume()
+		c.batch = append(c.batch, slot)
+	}
+	if len(c.batch) == 0 {
 		if c.cfg.Driver == DriverInterrupt {
 			c.irqArmed = true
 			return
 		}
-		// Fuse the idle re-poll: while no other event is pending before
-		// the next poll instant, spin the poll loop inline instead of
-		// paying a scheduler round trip per empty poll. FuseAt's strict
-		// tie handling (any pending event at or before the instant
-		// refuses the fuse) makes the inline spin order-identical to the
-		// scheduled re-poll, and its horizon check bounds the spin.
-		if !s.FuseAt(s.Now().Add(c.cfg.PollInterval)) {
-			s.After(c.cfg.PollInterval, c.pollFn)
-			return
-		}
+		c.parkSkips = c.poller.Skipped()
+		c.poller.Park()
+		return
 	}
 	if c.FirstPacketAt == 0 && c.Processed == 0 {
 		c.FirstPacketAt = s.Now()

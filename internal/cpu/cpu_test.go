@@ -40,11 +40,11 @@ type rig struct {
 	core *Core
 }
 
-func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
-	t.Helper()
-	hcfg := hier.Config{
+// testHierConfig is the small hierarchy the core tests run on.
+func testHierConfig(cores int) hier.Config {
+	return hier.Config{
 		Clock:    sim.NewClock(3_000_000_000),
-		NumCores: 1,
+		NumCores: cores,
 		L1Size:   4 << 10, L1Assoc: 2, L1Lat: 2,
 		MLCSize: 64 << 10, MLCAssoc: 8, MLCLat: 12,
 		LLCSize: 128 << 10, LLCAssoc: 8, LLCLat: 24,
@@ -52,6 +52,11 @@ func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
 		DirEntriesPerCore: 4096, DirAssoc: 16,
 		DRAM: dram.Config{AccessLatency: 80 * sim.Nanosecond, BytesPerSecond: 25_600_000_000},
 	}
+}
+
+func newRig(t *testing.T, coreCfg Config, ringSize int) *rig {
+	t.Helper()
+	hcfg := testHierConfig(1)
 	h := hier.New(hcfg)
 	ncfg := nic.DefaultConfig(1)
 	ncfg.RingSize = ringSize

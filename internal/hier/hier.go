@@ -506,7 +506,7 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 	}
 	// Invalidate any MLC-resident copy (P1/P2 steps in Fig. 1). The data
 	// is dead — it is being overwritten — so no writeback happens.
-	wasInMLC := h.snoopInvalMLC(now, la)
+	h.snoopInvalMLC(now, la)
 	if ln := h.llc.Lookup(la, true); ln != nil {
 		// In-place update (P2-2/P3-1 in Fig. 1).
 		ln.Dirty = true
@@ -522,16 +522,15 @@ func (h *Hierarchy) pcieWriteMask(now sim.Time, line mem.LineAddr, mask cache.Wa
 		h.llcWriteback(now, v)
 	}
 	h.stats.DDIOAlloc++
-	_ = wasInMLC
 	return h.llcLat
 }
 
 // snoopInvalMLC invalidates la from every core's L1/MLC without
-// writeback, returning whether any copy existed.
-func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) bool {
+// writeback.
+func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) {
 	owner, ok := h.dir.owner(la)
 	if !ok {
-		return false
+		return
 	}
 	h.l1[owner].Invalidate(la)
 	present, _ := h.mlc[owner].Invalidate(la)
@@ -545,7 +544,6 @@ func (h *Hierarchy) snoopInvalMLC(now sim.Time, la uint64) bool {
 			h.obs.LineEvent(obs.EvInval, now, la, owner, "dma-snoop", 0)
 		}
 	}
-	return present
 }
 
 // DirectDRAMWrite implements IDIO's selective direct DRAM access: the

@@ -249,6 +249,8 @@ func (e *WatchdogError) Error() string {
 // with O(1) insertion, while the 4-ary heap keeps sparse long-horizon
 // timers and the wheel's refusals. Dispatch merges the two by
 // (at, seq), so the executed sequence is identical to a single heap's.
+// Idle polling loops park outside both queues (Poller): their no-op
+// firings are elided, not dispatched.
 type Simulator struct {
 	now       Time
 	seq       uint64
@@ -287,6 +289,15 @@ type Simulator struct {
 	// small (see schedEvent.arg).
 	args    []Arg
 	argFree []int32
+
+	// parked holds the parked pollers (poller.go); parkAt/parkSeq cache
+	// the earliest parked firing (parkAt = Never when none), so the
+	// dispatch loop, FuseAt and ContinueAt test for elided firings with
+	// two comparisons. The slice only grows to the poller count, so the
+	// steady state parks without allocating.
+	parked  []*Poller
+	parkAt  Time
+	parkSeq uint64
 }
 
 // putArg stores an argful payload in the slab and returns its slot.
@@ -311,12 +322,9 @@ func (s *Simulator) takeArg(i int32) Arg {
 
 // New returns an empty simulator positioned at time zero.
 func New() *Simulator {
-	return &Simulator{horizon: Never, wheel: newTimeWheel()}
+	return &Simulator{horizon: Never, wheel: newTimeWheel(), parkAt: Never}
 }
 
-// enqueue files one event into the two-level scheduler: the wheel when
-// it can hold it, the heap otherwise (past-cursor, sorted-slot, or
-// far-future overflow spills).
 // Sources of the cached scheduler minimum (Simulator.nextSrc).
 const (
 	srcNone     = iota // no pending events
@@ -325,6 +333,9 @@ const (
 	srcWheelRaw        // minimum is in the wheel, cursor not yet there
 )
 
+// enqueue files one event into the two-level scheduler: the wheel when
+// it can hold it, the heap otherwise (past-cursor, sorted-slot, or
+// far-future overflow spills).
 func (s *Simulator) enqueue(e schedEvent) {
 	inWheel := s.wheel.push(e)
 	if !inWheel {
@@ -394,11 +405,15 @@ func (s *Simulator) popWithin(horizon Time) (schedEvent, bool) {
 // Now returns the current simulation time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Processed returns the number of events executed so far.
+// Processed returns the number of events executed so far. Elided
+// firings of parked pollers are not events and are not counted; a
+// woken poller's firing is.
 func (s *Simulator) Processed() uint64 { return s.processed }
 
-// Pending returns the number of events currently queued.
-func (s *Simulator) Pending() int { return len(s.heap) + s.wheel.count }
+// Pending returns the number of events currently queued, counting each
+// parked poller as the one firing it has pending — exactly the count a
+// self-rescheduling chain would leave queued.
+func (s *Simulator) Pending() int { return len(s.heap) + s.wheel.count + len(s.parked) }
 
 // At schedules fn to run at absolute time at. Scheduling into the past
 // panics: it would silently reorder causality.
@@ -468,6 +483,11 @@ func (s *Simulator) ContinueAt(t Time) bool {
 	if s.nextSrc != srcNone && (s.nextEv.at < t || (s.nextEv.at == t && s.nextEv.seq < s.curSeq)) {
 		return false
 	}
+	// Parked pollers' firings are no-ops: step over them rather than
+	// refuse on them.
+	if s.parkAt < t || (s.parkAt == t && s.parkSeq < s.curSeq) {
+		s.advancePollers(t, s.curSeq)
+	}
 	if t > s.now {
 		s.now = t
 	}
@@ -488,6 +508,12 @@ func (s *Simulator) FuseAt(t Time) bool {
 	}
 	if s.nextSrc != srcNone && s.nextEv.at <= t {
 		return false
+	}
+	// Parked pollers' firings at or before t are stepped over; the
+	// fused work stands for an event scheduled now at t, so any firing
+	// the elided stretch itself lands on t stays pending after it.
+	if s.parkAt <= t {
+		s.advancePollers(t, s.seq+1)
 	}
 	if t > s.now {
 		s.now = t
@@ -594,6 +620,11 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 		if !ok {
 			break
 		}
+		// Elide the parked pollers' firings that order before next, so
+		// every seq next's handler draws follows theirs.
+		if s.parkAt < next.at || (s.parkAt == next.at && s.parkSeq < next.seq) {
+			s.advancePollers(next.at, next.seq)
+		}
 		if next.at > s.now {
 			s.sameInstant = 0
 		}
@@ -611,9 +642,17 @@ func (s *Simulator) RunUntil(horizon Time) uint64 {
 		}
 	}
 	// Advance the clock to the horizon even if the queue drained early,
-	// so rate computations over [0, horizon] are well defined.
-	if !s.stopped && s.now < horizon && horizon != Never {
-		s.now = horizon
+	// so rate computations over [0, horizon] are well defined, and step
+	// parked pollers over their firings up to it: events scheduled
+	// between runs (At calls, mailbox flushes) then order against the
+	// firing a self-rescheduling chain would have pending.
+	if !s.stopped && horizon != Never {
+		if s.now < horizon {
+			s.now = horizon
+		}
+		if s.parkAt <= horizon {
+			s.advancePollers(horizon+1, 0)
+		}
 	}
 	return s.processed - start
 }

@@ -1,6 +1,8 @@
 #!/bin/sh
-# Benchmark baseline runner: benchmarks the figure harness (repo root),
-# the event kernel (internal/sim), the cache hierarchy (internal/hier),
+# Benchmark baseline runner: benchmarks the figure harness and the
+# whole-host loops (repo root: the packet lifecycle, the bursty
+# idle-gap host of BenchmarkBurstIdle, the sharded cluster grid), the
+# event kernel (internal/sim), the cache hierarchy (internal/hier),
 # the network fabric (internal/net) and the compact flow table
 # (internal/flow) with allocation stats, then
 # condenses the raw stream into BENCH_sim.json (benchmark name ->

@@ -24,9 +24,14 @@ go test -run '^$' -bench . -benchtime=1x ./...
 # gate on any per-packet allocation (see alloc_test.go). The same gate
 # covers the million-flow engine (TestChurnAllocsPerRequest: 128k
 # resident flows churning at zero allocs per request) and the pooled
-# fabric benchmarks (link transit and switch forwarding at 0 allocs/op).
+# fabric benchmarks (link transit and switch forwarding at 0 allocs/op),
+# and idle time (TestAllocsPerPacketIdleGaps: bursts 10 ms apart with
+# the cores parked in between, parking and waking included).
+# TestIdleWorkCount is the deterministic work-count gate: events per
+# packet on that bursty host are exact on any machine, so the bound is
+# hard.
 go test -run '^$' -bench 'BenchmarkPacketLifecycle' -benchtime=1x -benchmem .
-go test -run 'TestAllocsPerPacket|TestNullPoolByteIdentical|TestChurnAllocsPerRequest' -count=1 .
+go test -run 'TestAllocsPerPacket|TestAllocsPerPacketIdleGaps|TestIdleWorkCount|TestNullPoolByteIdentical|TestChurnAllocsPerRequest' -count=1 .
 go test -run '^$' -bench 'BenchmarkLinkTransit|BenchmarkSwitchForward' -benchtime=1x -benchmem ./internal/net
 # Observability smoke: run a short traced scenario and validate that
 # the Chrome trace and the metrics JSON both parse.

@@ -19,7 +19,7 @@ import (
 // path — dominates as the client count grows.
 func BenchmarkClusterSharded(b *testing.B) {
 	for _, clients := range []int{1, 4, 16, 64} {
-		for _, shards := range []int{1, 4, 8} {
+		for _, shards := range []int{1, 2, 4, 8} {
 			if shards > clients+2 {
 				continue // extra domains would just idle at every barrier
 			}
