@@ -19,8 +19,8 @@
 //	idiosim -exp rpc -scenario scenarios/rpc_closed_loop.json
 //	                                      # sweep parameterised by a topology
 //
-// Experiments: fig4 fig5 fig9 fig10 fig11 fig12 fig13 fig14 breakdown
-// ablations degradation rpc chaos qos churn verify all.
+// The -exp names come from experiment.Registry (`idiosim -h` lists
+// them), plus verify and all; -exp all and -report run every entry.
 //
 // Every experiment cell simulates an independent System, so -j only
 // changes wall-clock time: the tables and CSVs are byte-identical for
@@ -33,9 +33,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"idio/internal/experiment"
@@ -44,26 +45,75 @@ import (
 	"idio/internal/sim"
 )
 
-func main() {
-	exp := flag.String("exp", "fig10", "experiment to run: fig4|fig5|fig9|fig10|fig11|fig12|fig13|fig14|breakdown|ablations|degradation|rpc|chaos|qos|churn|verify|all")
-	csvDir := flag.String("csv", "", "directory to write timeline CSVs into (optional)")
-	quick := flag.Bool("quick", false, "run reduced-size variants (256-entry rings, scaled caches)")
-	par := flag.Int("j", 1, "worker-pool size for experiment grids (0 = GOMAXPROCS, 1 = serial)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	scenarioPath := flag.String("scenario", "", "run a JSON scenario file instead of a named experiment")
-	statsPath := flag.String("stats", "", "write a flat key=value stats dump for -scenario runs")
-	jsonPath := flag.String("json", "", "write schema-versioned metrics JSON for -scenario runs ('-' for stdout)")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) packet journey for -scenario runs")
-	traceSample := flag.Int("trace-sample", 1, "with -trace, follow every Nth packet")
-	metricsInterval := flag.Duration("metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
-	metricsPath := flag.String("metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
-	shards := flag.Int("shards", 0, "partition a -scenario topology into this many parallel event domains (0 = use the scenario's setting; output is byte-identical across shard counts)")
-	reportPath := flag.String("report", "", "regenerate everything and write a markdown report to this path")
-	flag.Parse()
+// options holds the command-line flags.
+type options struct {
+	exp, csvDir, cpuProfile, memProfile, report string
+	quick                                       bool
+	par                                         int
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	scenario, stats, json, trace, metrics string
+	traceSample, shards                   int
+	metricsInterval                       time.Duration
+}
+
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.exp, "exp", "fig10", "experiment to run: "+strings.Join(expNames(), "|"))
+	fs.StringVar(&o.csvDir, "csv", "", "directory to write timeline CSVs into (optional)")
+	fs.BoolVar(&o.quick, "quick", false, "run reduced-size variants (256-entry rings, scaled caches)")
+	fs.IntVar(&o.par, "j", 1, "worker-pool size for experiment grids (0 = GOMAXPROCS, 1 = serial)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this file on exit")
+	fs.StringVar(&o.scenario, "scenario", "", "run a JSON scenario file instead of a named experiment")
+	fs.StringVar(&o.stats, "stats", "", "write a flat key=value stats dump for -scenario runs")
+	fs.StringVar(&o.json, "json", "", "write schema-versioned metrics JSON for -scenario runs ('-' for stdout)")
+	fs.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON (Perfetto-loadable) packet journey for -scenario runs")
+	fs.IntVar(&o.traceSample, "trace-sample", 1, "with -trace, follow every Nth packet")
+	fs.DurationVar(&o.metricsInterval, "metrics-interval", 0, "record metric-registry snapshots at this period for -scenario runs (e.g. 10us)")
+	fs.StringVar(&o.metrics, "metrics", "", "write the -metrics-interval snapshot series as CSV ('-' for stdout)")
+	fs.IntVar(&o.shards, "shards", 0, "partition a -scenario topology into this many parallel event domains (0 = use the scenario's setting; output is byte-identical across shard counts)")
+	fs.StringVar(&o.report, "report", "", "regenerate everything and write a markdown report to this path")
+	return o
+}
+
+// expNames lists every -exp value: the registry, then verify and all.
+func expNames() []string {
+	var names []string
+	for _, e := range experiment.Registry {
+		names = append(names, e.Name)
+	}
+	return append(names, "verify", "all")
+}
+
+// check rejects flag combinations that would otherwise be ignored
+// silently. fs must be the parsed set the options were bound to.
+func (o *options) check(fs *flag.FlagSet) error {
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if o.scenario == "" {
+		for _, name := range []string{"stats", "json", "trace", "metrics", "metrics-interval", "shards"} {
+			if set[name] {
+				return fmt.Errorf("-%s needs -scenario", name)
+			}
+		}
+	} else if set["exp"] && o.exp != "rpc" {
+		return fmt.Errorf("-scenario composes only with -exp rpc, not -exp %s", o.exp)
+	}
+	if !slices.Contains(expNames(), o.exp) {
+		return fmt.Errorf("unknown experiment %q (want one of: %s)", o.exp, strings.Join(expNames(), " "))
+	}
+	return nil
+}
+
+func main() {
+	o := bindFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.check(flag.CommandLine); err != nil {
+		fatal(err)
+	}
+
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
 			fatal(err)
 		}
@@ -73,366 +123,90 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		defer writeMemProfile(*memProfile)
+	if o.memProfile != "" {
+		defer writeMemProfile(o.memProfile)
 	}
-
-	r := &runner{csvDir: *csvDir, quick: *quick, par: *par}
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	if o.csvDir != "" {
+		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
 			fatal(err)
 		}
 	}
-	// -exp rpc composes with -scenario: the scenario's topology
-	// parameterises the sweep instead of replacing it, so the short-
-	// circuit below is skipped in that combination.
-	if *scenarioPath != "" && *exp == "rpc" {
-		sc, err := loadScenario(*scenarioPath)
+	scale := experiment.Scale{Quick: o.quick, Parallelism: o.par}
+
+	switch {
+	case o.scenario != "" && o.exp == "rpc":
+		// -exp rpc composes with -scenario: the scenario's topology
+		// parameterises the sweep instead of replacing it.
+		sc, err := loadScenario(o.scenario)
 		if err != nil {
 			fatal(err)
 		}
-		r.rpcScenario = &sc
-	} else if *scenarioPath != "" {
-		opts := scenarioOpts{
-			statsPath:       *statsPath,
-			jsonPath:        *jsonPath,
-			tracePath:       *tracePath,
-			traceSample:     *traceSample,
-			metricsInterval: *metricsInterval,
-			metricsPath:     *metricsPath,
-			shards:          *shards,
-		}
-		if err := runScenario(*scenarioPath, opts); err != nil {
+		out := &experiment.TextOutput{W: os.Stdout, Dir: o.csvDir}
+		if err := experiment.RPCScenario(scale, &sc, out); err != nil {
 			fatal(err)
 		}
-		return
-	}
-	if *reportPath != "" {
-		f, err := os.Create(*reportPath)
+		if err := out.Err(); err != nil {
+			fatal(err)
+		}
+	case o.scenario != "":
+		if err := runScenario(o); err != nil {
+			fatal(err)
+		}
+	case o.report != "":
+		f, err := os.Create(o.report)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		if err := experiment.WriteReport(f, experiment.ReportOpts{Quick: *quick, Parallelism: *par}); err != nil {
+		if err := experiment.WriteReport(f, scale); err != nil {
 			fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "[report written to %s]\n", *reportPath)
-		return
+		fmt.Fprintf(os.Stderr, "[report written to %s]\n", o.report)
+	case o.exp == "verify":
+		if failed := experiment.Verify(os.Stdout); failed > 0 {
+			fatal(fmt.Errorf("%d reproduction claims failed", failed))
+		}
+	default:
+		entries := experiment.Registry
+		if o.exp != "all" {
+			i := slices.IndexFunc(entries, func(e experiment.Entry) bool { return e.Name == o.exp })
+			entries = entries[i : i+1]
+		}
+		if err := runExperiments(entries, scale, o.csvDir, os.Stdout, os.Stderr); err != nil {
+			fatal(err)
+		}
 	}
+}
 
-	all := []string{"fig4", "fig5", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "breakdown", "ablations", "degradation", "rpc", "chaos", "qos", "churn"}
-	targets := []string{*exp}
-	if *exp == "all" {
-		targets = all
-	}
-	// Each experiment renders into a private buffer so -exp all can fan
-	// the targets themselves out over the pool; buffers are flushed in
-	// the fixed target order, keeping stdout byte-identical to a serial
-	// run.
-	type expResult struct {
+// runExperiments renders each entry into a private buffer so -exp all
+// can fan the experiments themselves out over the pool; buffers are
+// flushed to stdout in registry order, keeping it byte-identical to a
+// serial run. Wall-clock times go to stderr.
+func runExperiments(entries []experiment.Entry, scale experiment.Scale, csvDir string, stdout, stderr io.Writer) error {
+	type result struct {
 		out     bytes.Buffer
 		elapsed time.Duration
 		err     error
 	}
-	results := experiment.RunCells(r.par, targets, func(name string) *expResult {
-		res := &expResult{}
+	results := experiment.RunCells(scale.Parallelism, entries, func(e experiment.Entry) *result {
+		res := &result{}
 		start := time.Now()
-		res.err = r.run(name, &res.out)
+		out := &experiment.TextOutput{W: &res.out, Dir: csvDir}
+		e.Run(scale, out)
+		res.err = out.Err()
 		res.elapsed = time.Since(start)
 		return res
 	})
 	for i, res := range results {
-		os.Stdout.Write(res.out.Bytes())
+		if _, err := stdout.Write(res.out.Bytes()); err != nil {
+			return err
+		}
 		if res.err != nil {
-			fatal(res.err)
+			return res.err
 		}
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", targets[i], res.elapsed.Round(time.Millisecond))
+		fmt.Fprintf(stderr, "[%s done in %v]\n", entries[i].Name, res.elapsed.Round(time.Millisecond))
 	}
-}
-
-type runner struct {
-	csvDir string
-	quick  bool
-	par    int
-	// rpcScenario, when set, parameterises -exp rpc from a scenario
-	// file's topology section.
-	rpcScenario *scenario.Scenario
-}
-
-// scale shrinks a figure's geometry for -quick runs.
-const (
-	quickRing = 256
-	quickMLC  = 256 << 10
-	quickLLC  = 768 << 10
-)
-
-func (r *runner) run(name string, w io.Writer) error {
-	switch name {
-	case "fig4":
-		opts := experiment.DefaultFig4Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.Rings = []int{64, quickRing}
-			opts.OneWayRings = []int{quickRing}
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Loads["low"] = 0.5
-		}
-		rows := experiment.Fig4(opts)
-		return experiment.WriteTable(w, "Fig 4: MLC/DRAM leaks vs load and ring size (DDIO baseline)",
-			experiment.Fig4Header(), experiment.Rows(rows))
-
-	case "fig5":
-		opts := experiment.DefaultFig5Opts()
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		res := experiment.Fig5(opts)
-		fmt.Fprintf(w, "== Fig 5: bursty TouchDrop under DDIO ==\n")
-		fmt.Fprintf(w, "processed=%d  totalMLCWB=%d  totalLLCWB=%d  (timeline: %d buckets)\n",
-			res.Processed, res.TotalMLCWB, res.TotalLLCWB, len(res.MLCWB.Points))
-		return r.csv("fig5_timeline.csv", res.MLCWB, res.LLCWB, res.DMA)
-
-	case "fig9":
-		opts := experiment.DefaultFig9Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		cells := experiment.Fig9(opts)
-		rows := make([]experiment.TableRow, len(cells))
-		for i, c := range cells {
-			rows[i] = c
-		}
-		if err := experiment.WriteTable(w, "Fig 9: per-mechanism burst comparison (2x TouchDrop)",
-			experiment.Fig9Header(), rows); err != nil {
-			return err
-		}
-		for _, c := range cells {
-			name := fmt.Sprintf("fig9_%s_%.0fG.csv", c.Policy.Name(), c.RateGbps)
-			if err := r.csv(name, c.MLCWB, c.LLCWB, c.DMA); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case "fig10":
-		opts := experiment.DefaultFig10Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Fig10(opts)
-		return experiment.WriteTable(w,
-			"Fig 10: Static/IDIO normalized to DDIO (lower is better)",
-			experiment.Fig10Header(), experiment.Rows(rows))
-
-	case "fig11":
-		opts := experiment.DefaultFig11Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-		}
-		res := experiment.Fig11(opts)
-		fmt.Fprintf(w, "== Fig 11: L2Fwd (zero-copy shallow NF), %d-byte packets ==\n", opts.FrameLen)
-		fmt.Fprintf(w, "DDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus\n",
-			res.DDIO.Summary.MLCWB, res.DDIO.Summary.LLCWB, res.DDIO.Summary.DRAMWrites, res.DDIO.Summary.ExeTimeUS)
-		fmt.Fprintf(w, "IDIO: mlcWB=%d llcWB=%d dramWr=%d exe=%.0fus\n",
-			res.IDIO.Summary.MLCWB, res.IDIO.Summary.LLCWB, res.IDIO.Summary.DRAMWrites, res.IDIO.Summary.ExeTimeUS)
-		fmt.Fprintf(w, "Direct-DRAM variant (class-1 payload): RX=%.2f Gbps, DRAM write=%.2f Gbps\n",
-			res.DirectDRAM.RxGbps, res.DirectDRAM.DRAMWriteGbps)
-		if err := r.csv("fig11_ddio.csv", res.DDIO.MLCWB, res.DDIO.LLCWB); err != nil {
-			return err
-		}
-		return r.csv("fig11_idio.csv", res.IDIO.MLCWB, res.IDIO.LLCWB)
-
-	case "fig12":
-		opts := experiment.DefaultFig12Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-		}
-		rows := experiment.Fig12(opts)
-		return experiment.WriteTable(w,
-			"Fig 12: p50/p99 latency normalized to DDIO solo",
-			experiment.Fig12Header(), experiment.Rows(rows))
-
-	case "fig13":
-		opts := experiment.DefaultFig13Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Packets = 2048
-		}
-		res := experiment.Fig13(opts)
-		fmt.Fprintf(w, "== Fig 13: steady traffic (10 Gbps per TouchDrop) ==\n")
-		fmt.Fprintf(w, "DDIO: mlcWB=%d llcWB=%d drops=%d p99=%.1fus\n",
-			res.DDIO.Summary.MLCWB, res.DDIO.Summary.LLCWB, res.DDIO.Summary.Drops, res.DDIO.Summary.P99US)
-		fmt.Fprintf(w, "IDIO: mlcWB=%d llcWB=%d drops=%d p99=%.1fus\n",
-			res.IDIO.Summary.MLCWB, res.IDIO.Summary.LLCWB, res.IDIO.Summary.Drops, res.IDIO.Summary.P99US)
-		if err := r.csv("fig13_ddio.csv", res.DDIO.MLCWB, res.DDIO.LLCWB); err != nil {
-			return err
-		}
-		return r.csv("fig13_idio.csv", res.IDIO.MLCWB, res.IDIO.LLCWB)
-
-	case "fig14":
-		opts := experiment.DefaultFig14Opts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Fig14(opts)
-		return experiment.WriteTable(w,
-			"Fig 14: IDIO sensitivity to mlcTHR at 100 Gbps (normalized to DDIO)",
-			experiment.Fig14Header(), experiment.Rows(rows))
-
-	case "breakdown":
-		opts := experiment.DefaultBreakdownOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Breakdown(opts)
-		return experiment.WriteTable(w,
-			"Latency breakdown (us): notification / queueing / service",
-			experiment.BreakdownHeader(), experiment.Rows(rows))
-
-	case "rpc":
-		opts := experiment.DefaultRPCOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Requests = 512
-			opts.LoadsGbps = []float64{5, 15, 25}
-			opts.Windows = []int{1, 16}
-		}
-		if r.rpcScenario != nil {
-			if err := applyRPCScenario(&opts, r.rpcScenario); err != nil {
-				return err
-			}
-		}
-		rows := experiment.RPC(opts)
-		return experiment.WriteTable(w,
-			"RPC: end-to-end latency vs offered load over the fabric (DDIO vs IDIO)",
-			experiment.RPCHeader(), experiment.Rows(rows))
-
-	case "qos":
-		opts := experiment.DefaultQoSOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.EFRequests = 32
-			opts.Horizon = 4 * sim.Millisecond
-		}
-		rows := experiment.QoS(opts)
-		return experiment.WriteTable(w,
-			"QoS: per-class SLOs under a saturating bulk+scavenger mix (DDIO vs IDIO vs QoS-aware IDIO)",
-			experiment.QoSHeader(), experiment.Rows(rows))
-
-	case "churn":
-		opts := experiment.DefaultChurnOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Flows = []int{1_000, 65_536}
-			opts.Horizon = 4 * sim.Millisecond
-		}
-		rows := experiment.Churn(opts)
-		return experiment.WriteTable(w,
-			"Churn: constant offered load over growing concurrent-flow populations (DDIO vs IDIO)",
-			experiment.ChurnHeader(), experiment.Rows(rows))
-
-	case "chaos":
-		opts := experiment.DefaultChaosOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-			opts.Requests = 10000
-			opts.Horizon = 25 * sim.Millisecond
-		}
-		rows := experiment.Chaos(opts)
-		return experiment.WriteTable(w,
-			"Chaos: scripted fault timeline, per-phase behaviour and time-to-recover (DDIO vs IDIO)",
-			experiment.ChaosHeader(), experiment.Rows(rows))
-
-	case "degradation":
-		opts := experiment.DefaultDegradationOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		rows := experiment.Degradation(opts)
-		return experiment.WriteTable(w,
-			"Degradation: DDIO vs IDIO under swept fault rates (drops / p99 / WB inflation)",
-			experiment.DegradationHeader(), experiment.Rows(rows))
-
-	case "verify":
-		if failed := experiment.Verify(w); failed > 0 {
-			return fmt.Errorf("%d reproduction claims failed", failed)
-		}
-		return nil
-
-	case "ablations":
-		opts := experiment.DefaultAblationOpts()
-		opts.Parallelism = r.par
-		if r.quick {
-			opts.RingSize = quickRing
-			opts.MLCSize, opts.LLCSize = quickMLC, quickLLC
-		}
-		var rows []experiment.AblationRow
-		rows = append(rows, experiment.AblationDDIOWays(opts, []int{1, 2, 4})...)
-		rows = append(rows, experiment.AblationRingSize(opts, []int{64, 256, opts.RingSize})...)
-		rows = append(rows, experiment.AblationPrefetchDepth(opts, []int{4, 32, 128})...)
-		rows = append(rows, experiment.AblationDescCoalescing(opts,
-			[]sim.Duration{0, 1900 * sim.Nanosecond, 20 * sim.Microsecond})...)
-		hot := opts
-		hot.RateGbps = 100
-		rows = append(rows, experiment.AblationAdaptivePrefetch(hot)...)
-		rows = append(rows, experiment.AblationMLP(hot, []int{1, 4, 8, 32})...)
-		rows = append(rows, experiment.AblationReplacement(opts)...)
-		rows = append(rows, experiment.AblationInclusion(opts)...)
-		rows = append(rows, experiment.AblationFrameSize(opts, []int{128, 512, 1514})...)
-		if err := experiment.WriteTable(w, "Ablations: design-choice sweeps (Fig. 9 scenario)",
-			experiment.AblationHeader(), experiment.Rows(rows)); err != nil {
-			return err
-		}
-		baseOpts := experiment.DefaultBaselineOpts()
-		baseOpts.Parallelism = r.par
-		if r.quick {
-			baseOpts.RingSize = quickRing
-			baseOpts.MLCSize, baseOpts.LLCSize = quickMLC, quickLLC
-		}
-		return experiment.WriteTable(w,
-			"Baselines: static DDIO vs IAT-style dynamic ways vs IDIO (100 Gbps burst)",
-			experiment.BaselineHeader(), experiment.Rows(experiment.Baselines(baseOpts)))
-
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
-	}
-}
-
-// csv writes series into the CSV directory; a no-op when -csv is
-// unset.
-func (r *runner) csv(name string, series ...experiment.Series) error {
-	if r.csvDir == "" {
-		return nil
-	}
-	f, err := os.Create(filepath.Join(r.csvDir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiment.WriteSeriesCSV(f, series...)
+	return nil
 }
 
 // loadScenario parses and validates a scenario file.
@@ -445,98 +219,20 @@ func loadScenario(path string) (scenario.Scenario, error) {
 	return scenario.Load(f)
 }
 
-// applyRPCScenario maps a scenario's topology onto the RPC sweep:
-// geometry (cores, clients, links, ring) and request shape come from
-// the file, and the scenario's own operating point is folded into the
-// swept axis so the curve always includes it.
-func applyRPCScenario(o *experiment.RPCOpts, sc *scenario.Scenario) error {
-	topo := sc.Topology
-	if topo == nil {
-		return fmt.Errorf("scenario %q has no topology section; -exp rpc needs one", sc.Name)
-	}
-	o.Cores = sc.Cores
-	o.Clients = topo.Clients
-	o.Link = topo.ClientLink.LinkConfig()
-	if sc.RingSize > 0 {
-		o.RingSize = sc.RingSize
-	}
-	if sc.HorizonMS > 0 {
-		o.Horizon = sim.Duration(sc.HorizonMS * float64(sim.Millisecond))
-	}
-	rpc := topo.RPC
-	if rpc == nil {
-		return nil
-	}
-	if rpc.FrameLen > 0 {
-		o.FrameLen = rpc.FrameLen
-	}
-	if rpc.Requests > 0 {
-		o.Requests = rpc.Requests
-	}
-	if rpc.TimeoutUS > 0 {
-		o.Timeout = sim.Duration(rpc.TimeoutUS * float64(sim.Microsecond))
-	}
-	switch rpc.Mode {
-	case "closed":
-		if rpc.Outstanding > 0 && !containsInt(o.Windows, rpc.Outstanding) {
-			o.Windows = append(o.Windows, rpc.Outstanding)
-		}
-	case "open", "ramp":
-		if rpc.Gbps > 0 && !containsFloat(o.LoadsGbps, rpc.Gbps) {
-			o.LoadsGbps = append(o.LoadsGbps, rpc.Gbps)
-		}
-	}
-	return nil
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsFloat(xs []float64, x float64) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// scenarioOpts bundles the -scenario output flags.
-type scenarioOpts struct {
-	statsPath       string
-	jsonPath        string
-	tracePath       string
-	traceSample     int
-	metricsInterval time.Duration
-	metricsPath     string
-	shards          int
-}
-
 // runScenario executes a JSON scenario file and prints its summary,
 // optionally writing a flat stats dump, a metrics JSON document, a
 // Chrome trace, and a metric-snapshot CSV series.
-func runScenario(path string, o scenarioOpts) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	sc, err := scenario.Load(f)
+func runScenario(o *options) error {
+	sc, err := loadScenario(o.scenario)
 	if err != nil {
 		return err
 	}
 	var ropts scenario.RunOpts
-	if o.tracePath != "" {
+	if o.trace != "" {
 		if o.traceSample <= 0 {
 			return fmt.Errorf("-trace-sample must be positive, got %d", o.traceSample)
 		}
-		tf, err := os.Create(o.tracePath)
+		tf, err := os.Create(o.trace)
 		if err != nil {
 			return err
 		}
@@ -545,7 +241,7 @@ func runScenario(path string, o scenarioOpts) error {
 	}
 	if o.metricsInterval > 0 {
 		ropts.MetricsInterval = sim.Duration(o.metricsInterval.Nanoseconds()) * sim.Nanosecond
-	} else if o.metricsPath != "" {
+	} else if o.metrics != "" {
 		return fmt.Errorf("-metrics needs -metrics-interval > 0")
 	}
 	if o.shards > 0 {
@@ -563,15 +259,15 @@ func runScenario(path string, o scenarioOpts) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "[%d trace events written to %s]\n",
-			sys.Observe().EventsEmitted(), o.tracePath)
+			sys.Observe().EventsEmitted(), o.trace)
 	}
 	fmt.Printf("== scenario %q (%s) ==\n", sc.Name, sc.Policy)
 	fmt.Print(res)
 	if cpi > 0 {
 		fmt.Printf("  antagonist CPI: %.1f\n", cpi)
 	}
-	if o.statsPath != "" {
-		sf, err := os.Create(o.statsPath)
+	if o.stats != "" {
+		sf, err := os.Create(o.stats)
 		if err != nil {
 			return err
 		}
@@ -579,15 +275,15 @@ func runScenario(path string, o scenarioOpts) error {
 		if err := res.WriteStats(sf); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "[stats written to %s]\n", o.statsPath)
+		fmt.Fprintf(os.Stderr, "[stats written to %s]\n", o.stats)
 	}
-	if o.jsonPath != "" {
-		if err := writeTo(o.jsonPath, res.WriteJSON); err != nil {
+	if o.json != "" {
+		if err := writeTo(o.json, res.WriteJSON); err != nil {
 			return err
 		}
 	}
-	if o.metricsPath != "" {
-		if err := writeTo(o.metricsPath, res.MetricSeries.WriteCSV); err != nil {
+	if o.metrics != "" {
+		if err := writeTo(o.metrics, res.MetricSeries.WriteCSV); err != nil {
 			return err
 		}
 	}

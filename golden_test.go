@@ -1,4 +1,4 @@
-package idio
+package idio_test
 
 import (
 	"bytes"
@@ -9,6 +9,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"idio/internal/scenario"
 )
 
 // updateGolden rewrites testdata/golden from the current tree instead
@@ -19,19 +21,37 @@ import (
 // A regenerated corpus then shows up as a reviewable diff.
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current tree")
 
-// goldenScenarios lists every scenarios/*.json file; those with a
-// topology section are also run partitioned into four event domains,
-// whose output must equal the single-domain files byte for byte.
-var goldenScenarios = []struct {
+// goldenScenario is one scenarios/*.json file; those with a topology
+// section are also run partitioned into four event domains, whose
+// output must equal the single-domain files byte for byte.
+type goldenScenario struct {
 	name    string
 	sharded bool
-}{
-	{"chaos_recovery", true},
-	{"churn_flows", true},
-	{"mixed_nfs", false},
-	{"qos_mix", true},
-	{"realloc_server", false},
-	{"rpc_closed_loop", true},
+}
+
+// goldenScenarios loads every scenarios/*.json file, so a new
+// scenario cannot go unpinned.
+func goldenScenarios(t *testing.T) []goldenScenario {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("scenarios", "*.json"))
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenarios found (%v)", err)
+	}
+	var out []goldenScenario
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.Load(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		out = append(out, goldenScenario{name, sc.Topology != nil})
+	}
+	return out
 }
 
 // TestGolden pins every user-visible model output to the committed
@@ -84,7 +104,7 @@ func TestGolden(t *testing.T) {
 
 	check("all_quick.txt", run("-exp", "all", "-quick", "-j", "2"))
 	tmp := t.TempDir()
-	for _, sc := range goldenScenarios {
+	for _, sc := range goldenScenarios(t) {
 		src := filepath.Join("scenarios", sc.name+".json")
 		shards := []string{"1"}
 		if sc.sharded {

@@ -1,10 +1,58 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 )
+
+// Output receives an experiment's rendered results. TextOutput
+// reproduces idiosim's stdout and -csv files; the markdown output
+// behind WriteReport builds the -report document.
+type Output interface {
+	// Table renders a titled table.
+	Table(title string, header []string, rows []TableRow)
+	// Text renders a titled block of lines.
+	Text(title string, lines ...string)
+	// Series records timelines under a CSV file name.
+	Series(file string, series ...Series)
+}
+
+// TextOutput renders aligned ASCII tables and text blocks to W and,
+// when Dir is set, writes each series as a CSV file into Dir. The
+// first error sticks and is reported by Err.
+type TextOutput struct {
+	W   io.Writer
+	Dir string
+	err error
+}
+
+func (o *TextOutput) Table(title string, header []string, rows []TableRow) {
+	if o.err == nil {
+		o.err = WriteTable(o.W, title, header, rows)
+	}
+}
+
+func (o *TextOutput) Text(title string, lines ...string) {
+	if o.err == nil {
+		_, o.err = fmt.Fprintf(o.W, "== %s ==\n%s\n", title, strings.Join(lines, "\n"))
+	}
+}
+
+func (o *TextOutput) Series(file string, series ...Series) {
+	if o.err != nil || o.Dir == "" {
+		return
+	}
+	var b bytes.Buffer
+	WriteSeriesCSV(&b, series...) // a buffer write cannot fail
+	o.err = os.WriteFile(filepath.Join(o.Dir, file), b.Bytes(), 0o666)
+}
+
+// Err returns the first error met while rendering.
+func (o *TextOutput) Err() error { return o.err }
 
 // TableRow is anything that renders itself as table cells.
 type TableRow interface {

@@ -7,37 +7,40 @@ import (
 
 func TestWriteReportQuick(t *testing.T) {
 	var buf strings.Builder
-	if err := WriteReport(&buf, ReportOpts{Quick: true}); err != nil {
+	if err := WriteReport(&buf, Scale{Quick: true}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{
+	want := []string{
 		"# IDIO reproduction report",
-		"Fig. 4", "Fig. 9", "Fig. 10", "Fig. 11", "Fig. 12", "Fig. 13", "Fig. 14",
-		"Latency breakdown", "Baselines", "Ablations", "Reproduction claims",
+		"\n## Reproduction claims\n",
 		"| rate | policy |", // a table header made it through
 		"PASS",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q", want)
+	}
+	for _, e := range Registry {
+		want = append(want, "\n## "+e.Name+"\n")
+	}
+	for _, w := range want {
+		if !strings.Contains(out, w) {
+			t.Fatalf("report missing %q", w)
 		}
 	}
 	if strings.Contains(out, "FAILED") {
 		t.Fatal("report contains failed claims")
 	}
-	// Markdown tables are well-formed: every table line has matching
-	// pipe counts with its header (spot check the Fig. 14 table).
+	// Markdown tables are well-formed: every table line has as many
+	// pipes as its header line.
 	lines := strings.Split(out, "\n")
-	for i, l := range lines {
-		if strings.HasPrefix(l, "| mlcTHR |") {
-			want := strings.Count(l, "|")
-			for j := i + 1; j < len(lines) && strings.HasPrefix(lines[j], "|"); j++ {
-				if strings.Count(lines[j], "|") != want {
-					t.Fatalf("ragged table row %q", lines[j])
-				}
+	for i := 0; i < len(lines); i++ {
+		if !strings.HasPrefix(lines[i], "|") {
+			continue
+		}
+		want := strings.Count(lines[i], "|")
+		for i++; i < len(lines) && strings.HasPrefix(lines[i], "|"); i++ {
+			if strings.Count(lines[i], "|") != want {
+				t.Fatalf("ragged table row %q", lines[i])
 			}
 		}
-		_ = i
 	}
 }
 
@@ -52,7 +55,7 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 func TestWriteReportPropagatesWriteErrors(t *testing.T) {
-	if err := WriteReport(&failWriter{}, ReportOpts{Quick: true}); err == nil {
+	if err := WriteReport(&failWriter{}, Scale{Quick: true}); err == nil {
 		t.Fatal("write errors must propagate")
 	}
 }

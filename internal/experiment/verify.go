@@ -25,11 +25,7 @@ func Verify(w io.Writer) int {
 		fmt.Fprintf(w, "%-4s  %-58s %s\n", status, name, detail)
 	}
 
-	const (
-		ring = 256
-		mlc  = 256 << 10
-		llc  = 768 << 10
-	)
+	const ring, mlc, llc = quickRing, quickMLC, quickLLC
 	horizon := 9 * sim.Millisecond
 
 	// Claims from Fig. 9/10 at 100 and 25 Gbps.

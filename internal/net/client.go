@@ -131,14 +131,6 @@ type ClientConfig struct {
 	// exponential-backoff retransmission (see RetryConfig). Nil keeps
 	// the historical behaviour bit-for-bit.
 	Retry *RetryConfig
-	// Wheel, when non-nil, arms per-attempt timeouts on this hashed
-	// timer wheel instead of scheduling one simulator event per
-	// attempt: deadlines quantize to the wheel's granularity and a
-	// matched response cancels its timer in O(1). The wheel must live
-	// on the client's own simulator (its event domain, when sharded).
-	// Nil keeps the legacy per-event path, whose event stream — and
-	// therefore every existing output — is preserved bit-for-bit.
-	Wheel *sim.TimerWheel
 }
 
 // ClientStats summarises one client's run.
@@ -216,9 +208,6 @@ type Client struct {
 type attempt struct {
 	req  uint64 // owning request id
 	sent sim.Time
-	// timer is the attempt's armed wheel timeout (wheel mode only;
-	// zero in the legacy per-event path).
-	timer sim.TimerHandle
 }
 
 // reqState tracks one open request in retry mode.
@@ -383,13 +372,8 @@ func (c *Client) sendAttempt(s *sim.Simulator, req uint64) {
 		c.sentAny = true
 		c.firstSend = now
 	}
-	att := attempt{req: req, sent: now}
-	if c.cfg.Wheel != nil {
-		att.timer = c.cfg.Wheel.Arm(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
-	} else {
-		s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
-	}
-	c.inflight.Put(w, att)
+	s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
+	c.inflight.Put(w, attempt{req: req, sent: now})
 	c.up.Receive(s, p)
 }
 
@@ -498,11 +482,6 @@ func (c *Client) Receive(s *sim.Simulator, p *pkt.Packet) {
 		return
 	}
 	c.inflight.Delete(p.Seq)
-	if c.cfg.Wheel != nil {
-		// The answered attempt's deadline is disarmed in O(1); the
-		// legacy path instead lets the timeout event fire as a no-op.
-		c.cfg.Wheel.Cancel(att.timer)
-	}
 	if c.reqs != nil {
 		if _, open := c.reqs.Get(att.req); !open {
 			// A sibling attempt (hedge or retry) already answered this
