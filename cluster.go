@@ -60,10 +60,10 @@ type Cluster struct {
 	// switch traffic into the DUT NIC.
 	ServerUp   *fnet.Link
 	ServerDown *fnet.Link
-	// Hist aggregates end-to-end RPC latency across all clients. In a
-	// sharded cluster it is rebuilt at Collect time by merging the
-	// per-client histograms (bucket addition — the same final state
-	// shared recording would have produced).
+	// Hist aggregates end-to-end RPC latency across all clients. It is
+	// rebuilt at Collect time by merging the per-client histograms
+	// (bucket addition — the same final state shared recording would
+	// have produced, in sharded and unsharded runs alike).
 	Hist *stats.Histogram
 
 	cfg     ClusterConfig
@@ -75,12 +75,15 @@ type Cluster struct {
 	qosMap      *qos.Map
 	clientClass []qos.Class
 
+	// clients holds every installed client of either kind in
+	// installation order; clientSlot[j] is clients[j]'s slot.
+	clients    []fabricClient
+	clientSlot []int
+
 	// Sharded-mode state; engine is nil when Shards <= 1.
 	engine       *sim.Engine
 	doms         []*clusterDomain // [0]=dut, [1]=switch, [2..]=client groups
 	clientDomOf  []int            // client slot -> domain index
-	clientSlots  []int            // Clients[j] -> slot (parallel to Clients)
-	churnSlots   []int            // ChurnClients[j] -> slot
 	faultLinkDom []int            // fault AttachLink order -> owning domain
 	outboxes     []*fnet.Outbox
 	flushScratch []fnet.XEntry
@@ -351,50 +354,34 @@ func (cl *Cluster) ClientFlow(i, core int) traffic.Flow {
 	}
 }
 
+// fabricClient is what the cluster drives and collects on either
+// client kind; both run on internal/net's request core.
+type fabricClient interface {
+	fnet.Endpoint
+	Start(s *sim.Simulator)
+	Done() bool
+	RxBytes() uint64
+	FirstSend() sim.Time
+	LastResp() sim.Time
+	Hist() *stats.Histogram
+}
+
 // AddRPCClient installs an RPC client on slot i whose requests are
 // served by the NF on the given DUT core: it builds the slot's
 // downlink, routes the client's address to it, and pins the flow to
 // the core with an EP Flow Director rule. A zero ccfg.Flow defaults
-// to ClientFlow(i, core). Unsharded clusters share the cluster-wide
-// latency histogram; sharded clusters record into per-client
-// histograms and merge at Collect (same aggregate, no cross-domain
-// writes).
+// to ClientFlow(i, core). Every client records into its own latency
+// histogram; Collect merges them into Hist.
 func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Client {
-	if cl.ClientDown[i] != nil {
-		panic(fmt.Sprintf("idio: client slot %d already has an RPC client", i))
-	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, core)
 	}
-	if cl.engine != nil {
-		if ccfg.Hist != nil {
-			panic("idio: a sharded cluster cannot share one histogram across client domains; leave ClientConfig.Hist nil")
-		}
-	} else if ccfg.Hist == nil {
-		ccfg.Hist = cl.Hist
-	}
+	cl.checkSharedHist(ccfg.Hist)
 	c := fnet.NewClient(ccfg, cl.ClientUp[i])
-	o := cl.DUT.Observe()
-	reg := o.Registry()
-
-	lc := cl.cfg.ClientLink
-	lc.Name = fmt.Sprintf("c%d.down", i)
-	cl.ClientDown[i] = fnet.NewLink(lc, c)
-	cl.ClientDown[i].SetObserver(o)
-	if cl.qosMap != nil {
-		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
-	}
-	cl.bindLink(cl.ClientDown[i], domSwitch, cl.clientDomain(i))
-	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
-	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
-	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], domSwitch)
-	}
-
+	cl.installClient(i, ccfg.Flow.Src, c)
 	cl.DUT.FlowDir.AddEPRule(ccfg.Flow.Tuple(), core)
-	c.RegisterMetrics(reg, fmt.Sprintf("rpc.c%d.", i))
+	c.RegisterMetrics(cl.DUT.Observe().Registry(), fmt.Sprintf("rpc.c%d.", i))
 	cl.Clients = append(cl.Clients, c)
-	cl.clientSlots = append(cl.clientSlots, i)
 	if cl.qosMap != nil {
 		cl.clientClass = append(cl.clientClass, cl.qosMap.Class(ccfg.Flow.DSCP))
 	}
@@ -412,37 +399,14 @@ func (cl *Cluster) AddRPCClient(i, core int, ccfg fnet.ClientConfig) *fnet.Clien
 // at a million flows the refusal counter exposes the hardware bound).
 // A zero ccfg.Flow defaults to ClientFlow(i, 0).
 func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClient {
-	if cl.ClientDown[i] != nil {
-		panic(fmt.Sprintf("idio: client slot %d already has a client", i))
-	}
 	if ccfg.Flow == (traffic.Flow{}) {
 		ccfg.Flow = cl.ClientFlow(i, 0)
 	}
-	if cl.engine != nil {
-		if ccfg.Hist != nil {
-			panic("idio: a sharded cluster cannot share one histogram across client domains; leave ChurnConfig.Hist nil")
-		}
-	}
-	c := fnet.NewChurnClient(cl.ClientSim(i), ccfg, cl.ClientUp[i])
-	o := cl.DUT.Observe()
-	reg := o.Registry()
-
-	lc := cl.cfg.ClientLink
-	lc.Name = fmt.Sprintf("c%d.down", i)
-	cl.ClientDown[i] = fnet.NewLink(lc, c)
-	cl.ClientDown[i].SetObserver(o)
-	if cl.qosMap != nil {
-		cl.ClientDown[i].ArmQoS(cl.cfg.QoS, cl.qosMap)
-	}
-	cl.bindLink(cl.ClientDown[i], domSwitch, cl.clientDomain(i))
-	cl.ClientDown[i].RegisterMetrics(reg, fmt.Sprintf("fabric.c%d.down.", i))
-	cl.Switch.Route(ccfg.Flow.Src, cl.Switch.AddPort(cl.ClientDown[i]))
-	if cl.DUT.Faults != nil {
-		cl.attachFaultLink(cl.ClientDown[i], domSwitch)
-	}
-
-	if !cl.DUT.FlowDir.FlowStatsEnabled() {
-		fd := cl.DUT.FlowDir
+	cl.checkSharedHist(ccfg.Hist)
+	c := fnet.NewChurnClient(ccfg, cl.ClientUp[i])
+	cl.installClient(i, ccfg.Flow.Src, c)
+	reg := cl.DUT.Observe().Registry()
+	if fd := cl.DUT.FlowDir; !fd.FlowStatsEnabled() {
 		fd.EnableFlowStats(nic.DefaultFlowStatsEntries)
 		reg.GaugeFunc("nic.flows_tracked", func() float64 { return float64(fd.TrackedFlows()) })
 		reg.GaugeFunc("nic.flow_table_load", fd.FlowStatsLoad)
@@ -450,12 +414,46 @@ func (cl *Cluster) AddChurnClient(i int, ccfg fnet.ChurnConfig) *fnet.ChurnClien
 	}
 	c.RegisterMetrics(reg, fmt.Sprintf("churn.c%d.", i))
 	cl.ChurnClients = append(cl.ChurnClients, c)
-	cl.churnSlots = append(cl.churnSlots, i)
 	return c
 }
 
+// checkSharedHist refuses a histogram shared across a sharded
+// cluster's client domains (concurrent writes); per-client histograms
+// merge at Collect instead.
+func (cl *Cluster) checkSharedHist(h *stats.Histogram) {
+	if cl.engine != nil && h != nil {
+		panic("idio: a sharded cluster cannot share one histogram across client domains; leave the client config's Hist nil")
+	}
+}
+
+// installClient wires client c onto slot i: the slot's downlink (QoS
+// scheduled when the cluster is), the switch route for the client's
+// address src, the downlink's metrics and fault-target registration.
+func (cl *Cluster) installClient(i int, src pkt.IPv4, c fabricClient) {
+	if cl.ClientDown[i] != nil {
+		panic(fmt.Sprintf("idio: client slot %d already has a client", i))
+	}
+	o := cl.DUT.Observe()
+	lc := cl.cfg.ClientLink
+	lc.Name = fmt.Sprintf("c%d.down", i)
+	down := fnet.NewLink(lc, c)
+	cl.ClientDown[i] = down
+	down.SetObserver(o)
+	if cl.qosMap != nil {
+		down.ArmQoS(cl.cfg.QoS, cl.qosMap)
+	}
+	cl.bindLink(down, domSwitch, cl.clientDomain(i))
+	down.RegisterMetrics(o.Registry(), fmt.Sprintf("fabric.c%d.down.", i))
+	cl.Switch.Route(src, cl.Switch.AddPort(down))
+	if cl.DUT.Faults != nil {
+		cl.attachFaultLink(down, domSwitch)
+	}
+	cl.clients = append(cl.clients, c)
+	cl.clientSlot = append(cl.clientSlot, i)
+}
+
 // Start launches the DUT (cores, controller, injectors) and every
-// installed RPC client, each on its owning domain's simulator.
+// installed client, each on its owning domain's simulator.
 // Calling it more than once is a no-op.
 func (cl *Cluster) Start() {
 	if cl.started {
@@ -473,11 +471,8 @@ func (cl *Cluster) Start() {
 			})
 		}
 	}
-	for j, c := range cl.Clients {
-		c.Start(cl.ClientSim(cl.clientSlots[j]))
-	}
-	for j, c := range cl.ChurnClients {
-		c.Start(cl.ClientSim(cl.churnSlots[j]))
+	for j, c := range cl.clients {
+		c.Start(cl.ClientSim(cl.clientSlot[j]))
 	}
 }
 
@@ -528,12 +523,7 @@ func (cl *Cluster) Idle() bool {
 			return false
 		}
 	}
-	for _, c := range cl.Clients {
-		if !c.Done() {
-			return false
-		}
-	}
-	for _, c := range cl.ChurnClients {
+	for _, c := range cl.clients {
 		if !c.Done() {
 			return false
 		}
@@ -623,18 +613,10 @@ func (cl *Cluster) Run(opts RunOpts) (Results, error) {
 	return cl.Collect(), err
 }
 
-// Collect snapshots the DUT's results and attaches the fabric and RPC
-// summaries. Run calls it; it remains exported for callers that need
-// to re-snapshot after a run.
+// Collect snapshots the DUT's results and attaches the fabric, RPC
+// and churn summaries. Run calls it; it remains exported for callers
+// that need to re-snapshot after a run.
 func (cl *Cluster) Collect() Results {
-	if cl.engine != nil {
-		// Rebuild the aggregate histogram from the per-domain ones;
-		// bucket merging reproduces shared recording exactly.
-		cl.Hist.Reset()
-		for _, c := range cl.Clients {
-			cl.Hist.Merge(c.Hist())
-		}
-	}
 	r := cl.DUT.Collect()
 	f := &FabricResults{Switch: cl.Switch.Stats()}
 	for _, l := range cl.links() {
@@ -650,11 +632,18 @@ func (cl *Cluster) Collect() Results {
 		f.Links = append(f.Links, lr)
 	}
 	r.Fabric = f
-	if len(cl.Clients) > 0 {
-		rpc := &RPCResults{}
-		var rxBytes uint64
-		var first, last sim.Time
-		for i, c := range cl.Clients {
+	// The aggregate RPC histogram is rebuilt from the per-client ones.
+	cl.Hist.Reset()
+	rpcSpan := clientSpan{hist: cl.Hist}
+	churnSpan := clientSpan{hist: stats.NewHistogram(5)}
+	var rpc RPCResults
+	ch := ChurnResults{
+		NICFlowsTracked: cl.DUT.FlowDir.TrackedFlows(),
+		NICFlowRefusals: cl.DUT.FlowDir.FlowRefusals(),
+	}
+	for _, c := range cl.clients {
+		switch c := c.(type) {
+		case *fnet.Client:
 			st := c.Stats()
 			rpc.Issued += st.Issued
 			rpc.Responses += st.Responses
@@ -663,34 +652,8 @@ func (cl *Cluster) Collect() Results {
 			rpc.Retries += st.Retries
 			rpc.Hedges += st.Hedges
 			rpc.Failed += st.Failed
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); i == 0 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-		}
-		rpc.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if cl.Hist.Count() > 0 {
-			rpc.P50 = cl.Hist.Quantile(0.50)
-			rpc.P99 = cl.Hist.Quantile(0.99)
-			rpc.P999 = cl.Hist.Quantile(0.999)
-		}
-		if cl.qosMap != nil {
-			rpc.Classes = cl.collectClasses()
-		}
-		r.RPC = rpc
-	}
-	if len(cl.ChurnClients) > 0 {
-		ch := &ChurnResults{
-			NICFlowsTracked: cl.DUT.FlowDir.TrackedFlows(),
-			NICFlowRefusals: cl.DUT.FlowDir.FlowRefusals(),
-		}
-		h := stats.NewHistogram(5)
-		var rxBytes uint64
-		var first, last sim.Time
-		for i, c := range cl.ChurnClients {
+			rpcSpan.add(c)
+		case *fnet.ChurnClient:
 			st := c.Stats()
 			ch.Issued += st.Issued
 			ch.Responses += st.Responses
@@ -701,27 +664,50 @@ func (cl *Cluster) Collect() Results {
 			ch.ActiveFlows += st.ActiveFlows
 			ch.WheelTicks += st.Wheel.Ticks
 			ch.WheelCascades += st.Wheel.Cascades
-			if st.TableLoad > ch.TableLoad {
-				ch.TableLoad = st.TableLoad
-			}
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); i == 0 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-			h.Merge(c.Hist())
+			ch.TableLoad = max(ch.TableLoad, st.TableLoad)
+			churnSpan.add(c)
 		}
-		ch.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if h.Count() > 0 {
-			ch.P50 = h.Quantile(0.50)
-			ch.P99 = h.Quantile(0.99)
-			ch.P999 = h.Quantile(0.999)
+	}
+	if rpcSpan.n > 0 {
+		rpc.GoodputBps, rpc.P50, rpc.P99, rpc.P999 = rpcSpan.summary()
+		if cl.qosMap != nil {
+			rpc.Classes = cl.collectClasses()
 		}
-		r.Churn = ch
+		r.RPC = &rpc
+	}
+	if churnSpan.n > 0 {
+		ch.GoodputBps, ch.P50, ch.P99, ch.P999 = churnSpan.summary()
+		r.Churn = &ch
 	}
 	return r
+}
+
+// clientSpan accumulates a client group's goodput window and latency.
+type clientSpan struct {
+	n           int
+	rxBytes     uint64
+	first, last sim.Time
+	hist        *stats.Histogram
+}
+
+func (a *clientSpan) add(c fabricClient) {
+	if fs := c.FirstSend(); a.n == 0 || fs < a.first {
+		a.first = fs
+	}
+	a.last = max(a.last, c.LastResp())
+	a.rxBytes += c.RxBytes()
+	a.hist.Merge(c.Hist())
+	a.n++
+}
+
+// summary returns the group's goodput and latency percentiles (zero
+// before the first response).
+func (a *clientSpan) summary() (goodput float64, p50, p99, p999 sim.Duration) {
+	goodput = fnet.GoodputBps(a.rxBytes, a.first, a.last)
+	if a.hist.Count() > 0 {
+		p50, p99, p999 = a.hist.Quantile(0.50), a.hist.Quantile(0.99), a.hist.Quantile(0.999)
+	}
+	return goodput, p50, p99, p999
 }
 
 // collectClasses builds the per-service-class RPC summary by grouping
@@ -733,36 +719,22 @@ func (cl *Cluster) collectClasses() []RPCClassResult {
 	var out []RPCClassResult
 	for class := 0; class < qos.NumClasses; class++ {
 		cr := RPCClassResult{Class: qos.Class(class).String()}
-		h := stats.NewHistogram(5)
-		var rxBytes uint64
-		var first, last sim.Time
+		span := clientSpan{hist: stats.NewHistogram(5)}
 		for j, c := range cl.Clients {
 			if int(cl.clientClass[j]) != class {
 				continue
 			}
 			st := c.Stats()
-			cr.Clients++
 			cr.Issued += st.Issued
 			cr.Responses += st.Responses
 			cr.Timeouts += st.Timeouts
-			rxBytes += c.RxBytes()
-			if fs := c.FirstSend(); cr.Clients == 1 || fs < first {
-				first = fs
-			}
-			if lr := c.LastResp(); lr > last {
-				last = lr
-			}
-			h.Merge(c.Hist())
+			span.add(c)
 		}
-		if cr.Clients == 0 {
+		if span.n == 0 {
 			continue
 		}
-		cr.GoodputBps = fnet.GoodputBps(rxBytes, first, last)
-		if h.Count() > 0 {
-			cr.P50 = h.Quantile(0.50)
-			cr.P99 = h.Quantile(0.99)
-			cr.P999 = h.Quantile(0.999)
-		}
+		cr.Clients = span.n
+		cr.GoodputBps, cr.P50, cr.P99, cr.P999 = span.summary()
 		out = append(out, cr)
 	}
 	return out

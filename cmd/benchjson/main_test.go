@@ -53,6 +53,40 @@ func TestParseIgnoresGarbage(t *testing.T) {
 	}
 }
 
+// The gate compares the per-unit metric: a few-iteration run whose
+// ns/op is swamped by setup but whose ns/req is flat must not warn,
+// while a real ns/req or ns/pkt regression must.
+func TestRegressionsPerUnitMetric(t *testing.T) {
+	base := map[string]map[string]float64{
+		"BenchmarkMillionFlowSteadyState": {"ns/op": 2.2e4, "ns/req": 19800},
+		"BenchmarkPacketLifecycle":        {"ns/op": 1e6, "ns/pkt": 10300},
+		"BenchmarkPlain":                  {"ns/op": 100},
+	}
+	flat := map[string]map[string]float64{
+		"BenchmarkMillionFlowSteadyState": {"ns/op": 1.8e6, "ns/req": 20100},
+		"BenchmarkPacketLifecycle":        {"ns/op": 9e6, "ns/pkt": 10500},
+		"BenchmarkPlain":                  {"ns/op": 105},
+	}
+	if got := regressions(base, flat); len(got) != 0 {
+		t.Fatalf("flat per-unit metrics warned: %q", got)
+	}
+	slow := map[string]map[string]float64{
+		"BenchmarkMillionFlowSteadyState": {"ns/op": 2.2e4, "ns/req": 25000},
+		"BenchmarkPacketLifecycle":        {"ns/op": 1e6, "ns/pkt": 12000},
+		"BenchmarkPlain":                  {"ns/op": 120},
+	}
+	got := regressions(base, slow)
+	want := []string{"BenchmarkMillionFlowSteadyState ns/req", "BenchmarkPacketLifecycle ns/pkt", "BenchmarkPlain ns/op"}
+	if len(got) != len(want) {
+		t.Fatalf("warnings %q, want one each for %q", got, want)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], w+" regressed") {
+			t.Errorf("warning %d = %q, want prefix %q", i, got[i], w)
+		}
+	}
+}
+
 func TestCPUModel(t *testing.T) {
 	in := "processor\t: 0\nvendor_id\t: GenuineIntel\nmodel name\t: Intel(R) Xeon(R) Processor\n\nprocessor\t: 1\nmodel name\t: other\n"
 	if got := cpuModel(strings.NewReader(in)); got != "Intel(R) Xeon(R) Processor" {

@@ -99,6 +99,16 @@ func (o *options) check(fs *flag.FlagSet) error {
 	} else if set["exp"] && o.exp != "rpc" {
 		return fmt.Errorf("-scenario composes only with -exp rpc, not -exp %s", o.exp)
 	}
+	switch {
+	case o.report != "" && (o.scenario != "" || set["exp"]):
+		return fmt.Errorf("-report renders every experiment; it does not compose with -scenario or -exp")
+	case set["csv"] && o.report != "":
+		return fmt.Errorf("-csv does not apply to -report")
+	case set["csv"] && o.scenario != "" && !set["exp"]:
+		return fmt.Errorf("-csv with -scenario needs -exp rpc")
+	case set["trace-sample"] && !set["trace"]:
+		return fmt.Errorf("-trace-sample needs -trace")
+	}
 	if !slices.Contains(expNames(), o.exp) {
 		return fmt.Errorf("unknown experiment %q (want one of: %s)", o.exp, strings.Join(expNames(), " "))
 	}

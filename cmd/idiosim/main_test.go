@@ -33,6 +33,14 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"-scenario", "s.json", "-exp", "fig10"}, "only with -exp rpc"},
 		{[]string{"-scenario", "s.json", "-exp", "all"}, "only with -exp rpc"},
 		{[]string{"-exp", "fig99"}, "fig4 fig5 fig9"},
+		{[]string{"-scenario", "s.json", "-exp", "rpc", "-csv", "out"}, ""},
+		{[]string{"-scenario", "s.json", "-trace", "t.json", "-trace-sample", "16"}, ""},
+		{[]string{"-scenario", "s.json", "-csv", "out"}, "-csv with -scenario needs -exp rpc"},
+		{[]string{"-report", "r.md", "-csv", "out"}, "-csv does not apply to -report"},
+		{[]string{"-scenario", "s.json", "-trace-sample", "16"}, "-trace-sample needs -trace"},
+		{[]string{"-trace-sample", "4"}, "-trace-sample needs -trace"},
+		{[]string{"-report", "r.md", "-scenario", "s.json"}, "does not compose with -scenario or -exp"},
+		{[]string{"-report", "r.md", "-exp", "fig10"}, "does not compose with -scenario or -exp"},
 	} {
 		fs := flag.NewFlagSet("idiosim", flag.ContinueOnError)
 		o := bindFlags(fs)

@@ -168,14 +168,14 @@ func chaosSegments(tl []fault.Phase) []chaosSegment {
 
 // chaosSnap is one cumulative-counter + window-histogram snapshot.
 type chaosSnap struct {
-	at       sim.Time
-	resp     uint64
-	rxBytes  uint64
-	retries  uint64
-	sheds    uint64
-	count    uint64
-	p99      sim.Duration
-	p999     sim.Duration
+	at      sim.Time
+	resp    uint64
+	rxBytes uint64
+	retries uint64
+	sheds   uint64
+	count   uint64
+	p99     sim.Duration
+	p999    sim.Duration
 }
 
 // chaosProbe samples the live cluster at phase boundaries and recovery

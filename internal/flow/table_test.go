@@ -19,7 +19,7 @@ func TestTableBasic(t *testing.T) {
 	if v, ok := tb.Get(0); !ok || v != 10 {
 		t.Fatalf("Get(0) = %d,%v", v, ok)
 	}
-	if v, ok := tb.Get(1<<63); !ok || v != 12 {
+	if v, ok := tb.Get(1 << 63); !ok || v != 12 {
 		t.Fatalf("Get(1<<63) = %d,%v", v, ok)
 	}
 	tb.Put(1, 21) // update

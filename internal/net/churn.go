@@ -13,298 +13,148 @@ import (
 	"idio/internal/traffic"
 )
 
-// ChurnConfig describes a flow-churn client: a population of Flows
-// concurrent flows, each issuing a Zipf-drawn budget of requests with
-// exponential think times between them, departing when the budget is
-// spent and being replaced by a fresh flow (new 5-tuple, new size
-// draw) after an exponential arrival gap — the Poisson
-// arrival/departure process of a real server's connection table. The
-// point of the model is scale: per-flow state lives in a compact
-// flow.Table and every think/timeout deadline rides one hashed timer
-// wheel, so a million concurrent flows cost one scheduled event per
-// wheel tick and zero steady-state allocations per request.
+// ChurnConfig describes a flow-churn client: Flows concurrent flows,
+// each issuing a Zipf-drawn budget of requests with exponential think
+// times, departing when it is spent and replaced by a fresh flow after
+// an exponential arrival gap — the Poisson churn of a server's
+// connection table, at a million flows with no allocation per request.
 type ChurnConfig struct {
-	// Flow is the base template: Src must be the client's address (the
-	// switch routes responses back by it), Dst the server's. SrcPort
-	// and DstPort are the bases of the per-flow port spaces: flow i
-	// sends from SrcPort+i%SrcPorts to DstPort+(i/SrcPorts)%DstPorts,
-	// so the NIC's RSS hash — not an explicit filter rule per flow —
-	// spreads the million-key tuple space across cores.
+	// Flow is the base template. Flow i sends from SrcPort+i%SrcPorts
+	// to DstPort+(i/SrcPorts)%DstPorts, so the NIC's RSS hash spreads
+	// the tuple space across cores.
 	Flow traffic.Flow
 	// Flows is the target concurrent flow population.
 	Flows int
-	// Requests bounds the run: total wire transmissions (first sends
-	// and timeout resends) across all flows.
+	// Requests bounds the run's wire transmissions, resends included.
 	Requests uint64
-	// Start delays the first arrivals; the initial population arrives
-	// at Start with think-staggered first requests (no thundering
-	// herd).
+	// Start is when the initial population arrives; first requests
+	// follow a think draw each.
 	Start sim.Time
-	// Timeout bounds the wait per request; 0 means DefaultTimeout. A
-	// timed-out request is resent (budget permitting) under a fresh
-	// attempt number, so the late response is never mistaken for the
-	// resend's.
+	// Timeout bounds the wait per request (0 means DefaultTimeout); a
+	// timed-out request is resent at once under a new attempt number.
 	Timeout sim.Duration
-	// Think is the mean think time between a flow's requests
-	// (exponential). 0 means 1ms. The experiment scales Think with the
-	// population to hold offered load constant across the sweep.
+	// Think is the mean exponential think time between a flow's
+	// requests; 0 means 1ms.
 	Think sim.Duration
-	// ArrivalGap is the mean delay between a departure and its
-	// replacement arrival (exponential); 0 means Think.
+	// ArrivalGap is the mean exponential delay between a departure and
+	// its replacement arrival; 0 means Think.
 	ArrivalGap sim.Duration
-	// SizeZipfS is the Zipf skew of per-flow request budgets (must be
-	// > 1; 0 means 1.2): most flows draw small budgets, a heavy tail
-	// draws large ones.
+	// SizeZipfS is the Zipf skew of flow budgets (> 1; 0 means 1.2).
 	SizeZipfS float64
 	// MiceFrac is the fraction of arrivals classed as mice (0 means
 	// 0.9); mice draw budgets in [1, MiceMax] (0 means 8), elephants
 	// in (MiceMax, SizeMax] (0 means 128).
-	MiceFrac float64
-	MiceMax  uint64
-	SizeMax  uint64
-	// DSCPs assigns per-flow service classes round-robin by flow id;
-	// empty means every flow uses Flow.DSCP. One immutable frame
-	// template is built per distinct class (DSCP lives inside the IPv4
-	// checksum; UDP ports do not, so ports are rewritten per flow with
-	// no checksum work).
+	MiceFrac         float64
+	MiceMax, SizeMax uint64
+	// DSCPs assigns service classes round-robin by flow id; empty
+	// means Flow.DSCP.
 	DSCPs []uint8
-	// SrcPorts and DstPorts size the per-flow port spaces (0 means
-	// 16384 source ports and 1 destination port).
-	SrcPorts int
-	DstPorts int
-	// Seed drives the size/think/arrival PRNG; equal seeds replay
-	// bit-identically.
+	// SrcPorts and DstPorts size the port spaces (0 means 16384, 1).
+	SrcPorts, DstPorts int
+	// Seed drives the size/think/arrival PRNG.
 	Seed int64
-	// WheelGran and WheelSlots shape the client's timer wheel (0 means
-	// 64us granularity, 4096 slots). All think, timeout, and arrival
-	// deadlines quantize to the granularity.
-	WheelGran  sim.Duration
-	WheelSlots int
-	// Hist, when non-nil, additionally records every response latency
-	// into this shared histogram.
+	// Hist, when non-nil, additionally records every response latency.
 	Hist *stats.Histogram
 }
 
 // Validate checks the churn parameters.
 func (c *ChurnConfig) Validate() error {
-	var errs []error
-	if c.Flows <= 0 {
-		errs = append(errs, fmt.Errorf("net: churn Flows %d must be > 0", c.Flows))
+	d := c.withDefaults()
+	errs := []error{
+		errIf(c.Flows <= 0, "net: churn Flows %d must be > 0", c.Flows),
+		errIf(c.Requests == 0, "net: churn needs a request budget"),
+		errIf(c.SizeZipfS != 0 && c.SizeZipfS <= 1, "net: churn SizeZipfS %v must be > 1", c.SizeZipfS),
+		errIf(c.MiceFrac < 0 || c.MiceFrac > 1, "net: churn MiceFrac %v outside [0,1]", c.MiceFrac),
+		errIf(d.SizeMax <= d.MiceMax, "net: churn SizeMax %d must exceed MiceMax %d", d.SizeMax, d.MiceMax),
+		errIf(c.SrcPorts < 0 || int(c.Flow.SrcPort)+d.SrcPorts > 1<<16,
+			"net: churn source ports [%d,%d) overflow", c.Flow.SrcPort, int(c.Flow.SrcPort)+d.SrcPorts),
+		errIf(c.DstPorts < 0 || int(c.Flow.DstPort)+d.DstPorts > 1<<16,
+			"net: churn destination ports [%d,%d) overflow", c.Flow.DstPort, int(c.Flow.DstPort)+d.DstPorts),
 	}
-	if c.Requests == 0 {
-		errs = append(errs, errors.New("net: churn needs a request budget"))
-	}
-	if c.SizeZipfS != 0 && c.SizeZipfS <= 1 {
-		errs = append(errs, fmt.Errorf("net: churn SizeZipfS %v must be > 1", c.SizeZipfS))
-	}
-	if c.MiceFrac < 0 || c.MiceFrac > 1 {
-		errs = append(errs, fmt.Errorf("net: churn MiceFrac %v outside [0,1]", c.MiceFrac))
-	}
-	mice, size := c.MiceMax, c.SizeMax
-	if mice == 0 {
-		mice = 8
-	}
-	if size == 0 {
-		size = 128
-	}
-	if size <= mice {
-		errs = append(errs, fmt.Errorf("net: churn SizeMax %d must exceed MiceMax %d", size, mice))
-	}
-	sp, dp := c.SrcPorts, c.DstPorts
-	if sp == 0 {
-		sp = 16384
-	}
-	if dp == 0 {
-		dp = 1
-	}
-	if sp < 0 || int(c.Flow.SrcPort)+sp > 1<<16 {
-		errs = append(errs, fmt.Errorf("net: churn source ports [%d,%d) overflow", c.Flow.SrcPort, int(c.Flow.SrcPort)+sp))
-	}
-	if dp < 0 || int(c.Flow.DstPort)+dp > 1<<16 {
-		errs = append(errs, fmt.Errorf("net: churn destination ports [%d,%d) overflow", c.Flow.DstPort, int(c.Flow.DstPort)+dp))
-	}
-	for _, d := range c.DSCPs {
-		if d > 63 {
-			errs = append(errs, fmt.Errorf("net: churn DSCP %d exceeds 6 bits", d))
-		}
+	for _, x := range c.DSCPs {
+		errs = append(errs, errIf(x > 63, "net: churn DSCP %d exceeds 6 bits", x))
 	}
 	return errors.Join(errs...)
 }
 
+// withDefaults resolves every zero field to its documented default.
+func (c ChurnConfig) withDefaults() ChurnConfig {
+	orDefault(&c.Flow.FrameLen, pkt.MTUFrameLen)
+	orDefault(&c.Timeout, DefaultTimeout)
+	orDefault(&c.Think, sim.Millisecond)
+	orDefault(&c.ArrivalGap, c.Think)
+	orDefault(&c.SizeZipfS, 1.2)
+	orDefault(&c.MiceFrac, 0.9)
+	orDefault(&c.MiceMax, 8)
+	orDefault(&c.SizeMax, 128)
+	orDefault(&c.SrcPorts, 16384)
+	orDefault(&c.DstPorts, 1)
+	if len(c.DSCPs) == 0 {
+		c.DSCPs = []uint8{c.Flow.DSCP}
+	}
+	return c
+}
+
 // ChurnStats summarises one churn client's run.
 type ChurnStats struct {
-	Issued    uint64 // wire transmissions (first sends + resends)
-	Responses uint64
-	Timeouts  uint64
-	Late      uint64
-	// Arrivals and Departures count flow lifecycle events; ActiveFlows
-	// is the resident population at collection time.
-	Arrivals    uint64
-	Departures  uint64
-	ActiveFlows int
-	GoodputBps  float64
-	P50         sim.Duration
-	P99         sim.Duration
-	P999        sim.Duration
-	// Wheel is the timer wheel's activity (armed/fired/canceled
-	// deadlines, ticks, cascade inspections).
-	Wheel sim.TimerWheelStats
-	// TableLoad is the flow table's occupancy fraction.
+	// Issued counts wire transmissions: Responses == Issued - Timeouts
+	// once every request has resolved.
+	Issued, Responses, Timeouts, Late uint64
+	// Arrivals/Departures count flow lifecycle events.
+	Arrivals, Departures uint64
+	ActiveFlows          int
+	GoodputBps           float64
+	P50, P99, P999       sim.Duration
+	// Wheel is the timer wheel's activity, TableLoad the flow table's.
+	Wheel     sim.TimerWheelStats
 	TableLoad float64
 }
 
-// churnFlow is one resident flow's state: 24 bytes of inline value in
-// the flow table, no pointers.
-type churnFlow struct {
-	sent      sim.Time        // last request's send time
-	timer     sim.TimerHandle // armed think or timeout deadline
-	remaining uint32          // requests left in this flow's budget
-	attempt   uint16          // wire attempt counter (resends bump it)
-	srcPort   uint16
-	dstPort   uint16
-	dscp      uint8 // index into tmpls
-	waiting   bool  // a request is on the wire
-}
-
-// ChurnClient drives the flow-churn workload into an uplink. All
-// per-flow state is a flow.Table keyed by flow id; the wire sequence
-// number of a request is flowID<<16 | attempt, so responses match the
-// exact transmission that elicited them even across timeout resends.
+// ChurnClient drives the flow-churn workload into an uplink: a Poisson
+// flow population on a request core, one entry per resident flow.
 type ChurnClient struct {
-	cfg   ChurnConfig
-	up    *Link
-	wheel *sim.TimerWheel
-	hist  *stats.Histogram
-
-	// tmpls holds one prebuilt frame per DSCP class; pool recycles
-	// request packets.
-	tmpls []*pkt.Template
-	pool  *pkt.Pool
-
-	flows    *flow.Table[churnFlow]
-	nextFlow uint64
-	rng      *rand.Rand
-	miceZipf *rand.Zipf // budgets 1..MiceMax
-	elepZipf *rand.Zipf // budgets MiceMax+1..SizeMax
-
-	issued     uint64
-	resp       uint64
-	timeouts   uint64
-	late       uint64
-	arrivals   uint64
-	departures uint64
-	rxBytes    uint64
-
-	firstSend sim.Time
-	lastResp  sim.Time
-	sentAny   bool
-	started   bool
+	core
+	cfg                  ChurnConfig
+	nextFlow             uint64
+	rng                  *rand.Rand
+	miceZipf, elepZipf   *rand.Zipf // budgets 1..MiceMax, MiceMax+1..SizeMax
+	arrivals, departures uint64
 }
 
-// NewChurnClient builds a churn client sending into up on s. The
-// timer wheel is created on s, so the client is bound to one event
-// domain: in sharded runs, s must be the client's own domain
-// simulator.
-func NewChurnClient(s *sim.Simulator, cfg ChurnConfig, up *Link) *ChurnClient {
-	if up == nil {
-		panic("net: churn client needs an uplink")
-	}
-	if err := cfg.Validate(); err != nil {
+// NewChurnClient builds a churn client sending into up.
+func NewChurnClient(cfg ChurnConfig, up *Link) *ChurnClient {
+	if err := errors.Join(errIf(up == nil, "no uplink"), cfg.Validate()); err != nil {
 		panic(fmt.Sprintf("net: churn: %v", err))
 	}
-	if cfg.Flow.FrameLen == 0 {
-		cfg.Flow.FrameLen = pkt.MTUFrameLen
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
-	if cfg.Think <= 0 {
-		cfg.Think = sim.Millisecond
-	}
-	if cfg.ArrivalGap <= 0 {
-		cfg.ArrivalGap = cfg.Think
-	}
-	if cfg.SizeZipfS == 0 {
-		cfg.SizeZipfS = 1.2
-	}
-	if cfg.MiceFrac == 0 {
-		cfg.MiceFrac = 0.9
-	}
-	if cfg.MiceMax == 0 {
-		cfg.MiceMax = 8
-	}
-	if cfg.SizeMax == 0 {
-		cfg.SizeMax = 128
-	}
-	if cfg.SrcPorts == 0 {
-		cfg.SrcPorts = 16384
-	}
-	if cfg.DstPorts == 0 {
-		cfg.DstPorts = 1
-	}
-	if cfg.WheelGran <= 0 {
-		cfg.WheelGran = 64 * sim.Microsecond
-	}
-	if cfg.WheelSlots <= 0 {
-		cfg.WheelSlots = 4096
-	}
-	if len(cfg.DSCPs) == 0 {
-		cfg.DSCPs = []uint8{cfg.Flow.DSCP}
-	}
-	c := &ChurnClient{
-		cfg:   cfg,
-		up:    up,
-		wheel: sim.NewTimerWheel(s, cfg.WheelGran, cfg.WheelSlots),
-		hist:  stats.NewHistogram(5),
-		flows: flow.New[churnFlow](cfg.Flows),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}
+	cfg = cfg.withDefaults()
+	c := &ChurnClient{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
+	c.core = core{onAnswer: c.answered, onFire: c.fire, up: up, tbl: flow.New[entry](cfg.Flows),
+		gran: wheelGran(cfg.Timeout), hist: stats.NewHistogram(5), shared: cfg.Hist,
+		timeout: cfg.Timeout, budget: cfg.Requests}
 	c.miceZipf = rand.NewZipf(c.rng, cfg.SizeZipfS, 1, cfg.MiceMax-1)
 	c.elepZipf = rand.NewZipf(c.rng, cfg.SizeZipfS, 1, cfg.SizeMax-cfg.MiceMax-1)
 	for _, d := range cfg.DSCPs {
 		fl := cfg.Flow
 		fl.DSCP = d
-		tmpl, err := fl.Template()
-		if err != nil {
-			panic(fmt.Sprintf("net: churn flow: %v", err))
-		}
-		c.tmpls = append(c.tmpls, tmpl)
+		c.tmpls = append(c.tmpls, pkt.MustTemplate(fl.Spec(0)))
 	}
 	return c
 }
 
-// Flow returns the client's base flow template.
-func (c *ChurnClient) Flow() traffic.Flow { return c.cfg.Flow }
-
-// Wheel exposes the client's timer wheel (stats, tests).
-func (c *ChurnClient) Wheel() *sim.TimerWheel { return c.wheel }
-
-// Table exposes the client's flow table (stats, tests).
-func (c *ChurnClient) Table() *flow.Table[churnFlow] { return c.flows }
-
-// Start schedules the initial population's arrival. Call once. The
-// whole population arrives at cfg.Start, but each flow's first
-// request is deferred by a think draw, so load ramps over roughly one
-// think window instead of bursting.
+// Start schedules the population's arrival on s, the simulator of the
+// client's event domain. Call once.
 func (c *ChurnClient) Start(s *sim.Simulator) {
-	if c.started {
-		panic("net: churn client already started")
-	}
-	c.started = true
-	if c.pool = c.up.PacketPool(); c.pool == nil {
-		c.pool = pkt.NewPool(c.cfg.Flow.FrameLen)
-	}
+	c.start(s)
 	s.AtNamed(c.cfg.Start, "churn-start", func(sm *sim.Simulator) {
 		for i := 0; i < c.cfg.Flows; i++ {
 			fid := c.admit()
-			f := c.flows.Ref(fid)
-			f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), churnThinkEv, sim.Arg{Obj: c, U0: fid})
+			c.tbl.Ref(fid).timer = c.arm(c.expDraw(c.cfg.Think), fid)
 		}
 	})
 }
 
-// admit creates one flow — id, budget draw, 5-tuple, class — and
-// inserts it idle (no timer armed yet). Returns the flow id.
+// admit inserts one idle flow — id, budget draw, ports, class — and
+// returns its id.
 func (c *ChurnClient) admit() uint64 {
 	fid := c.nextFlow
 	c.nextFlow++
@@ -315,213 +165,82 @@ func (c *ChurnClient) admit() uint64 {
 		budget = c.cfg.MiceMax + 1 + c.elepZipf.Uint64()
 	}
 	c.arrivals++
-	c.flows.Put(fid, churnFlow{
-		remaining: uint32(budget),
-		srcPort:   c.cfg.Flow.SrcPort + uint16(fid%uint64(c.cfg.SrcPorts)),
-		dstPort:   c.cfg.Flow.DstPort + uint16(fid/uint64(c.cfg.SrcPorts)%uint64(c.cfg.DstPorts)),
-		dscp:      uint8(fid % uint64(len(c.tmpls))),
-	})
+	sp, dp := uint64(c.cfg.SrcPorts), uint64(c.cfg.DstPorts)
+	c.tbl.Put(fid, entry{left: uint32(budget), class: uint8(fid % uint64(len(c.tmpls))),
+		port: [2]uint16{c.cfg.Flow.SrcPort + uint16(fid%sp), c.cfg.Flow.DstPort + uint16(fid/sp%dp)}})
 	return fid
 }
 
-// expDraw returns an exponential deviate with the given mean, floored
-// at one picosecond.
+// expDraw returns an exponential deviate (at least 1 ps).
 func (c *ChurnClient) expDraw(mean sim.Duration) sim.Duration {
-	d := sim.Duration(c.rng.ExpFloat64() * float64(mean))
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(1, sim.Duration(c.rng.ExpFloat64()*float64(mean)))
 }
 
-// send puts flow fid's next request on the wire: a pool packet
-// stamped from the flow's class template with the per-flow UDP ports
-// rewritten in place (ports sit outside the IPv4 checksum, and the
-// UDP checksum is unused, so the rewrite costs two stores). Arms the
-// timeout on the wheel. Zero allocations once pool, slab, and table
-// are warm.
-func (c *ChurnClient) send(s *sim.Simulator, fid uint64, f *churnFlow) {
-	w := fid<<16 | uint64(f.attempt)
-	c.issued++
-	tmpl := c.tmpls[f.dscp]
-	p := c.pool.Get(tmpl.FrameLen())
-	tmpl.Stamp(p, w)
-	udp := p.Frame[pkt.EthHeaderLen+pkt.IPv4HeaderLen:]
-	udp[0], udp[1] = byte(f.srcPort>>8), byte(f.srcPort)
-	udp[2], udp[3] = byte(f.dstPort>>8), byte(f.dstPort)
-	now := s.Now()
-	if !c.sentAny {
-		c.sentAny = true
-		c.firstSend = now
-	}
-	f.sent = now
-	f.waiting = true
-	f.timer = c.wheel.Arm(c.cfg.Timeout, churnTimeoutEv, sim.Arg{Obj: c, U0: w})
-	c.up.Receive(s, p)
-}
-
-// depart removes flow fid and, budget permitting, arms a replacement
-// arrival after an exponential gap — the Poisson churn process.
+// depart removes flow fid and arms a replacement arrival.
 func (c *ChurnClient) depart(fid uint64) {
-	c.flows.Delete(fid)
+	c.tbl.Delete(fid)
 	c.departures++
-	if c.issued < c.cfg.Requests {
+	if c.issued < c.budget {
 		c.wheel.Arm(c.expDraw(c.cfg.ArrivalGap), churnArriveEv, sim.Arg{Obj: c})
 	}
 }
 
-// churnThinkEv fires when an idle flow's think time expires: it sends
-// the flow's next request, or departs the flow when the global budget
-// is spent. Arg.Obj is the *ChurnClient, U0 the flow id.
-func churnThinkEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*ChurnClient)
-	fid := a.U0
-	f := c.flows.Ref(fid)
-	if f == nil {
-		return
+// fire runs a flow's deadline: a response deadline counts a timeout
+// and resends at once (a zero-backoff retry), a spent think time sends
+// the next request; with the budget spent the flow departs instead.
+func (c *ChurnClient) fire(s *sim.Simulator, fid uint64, f *entry) {
+	if f.state != 0 {
+		c.timeouts++
+		f.state = 0
+		f.attempt++
 	}
-	if c.issued >= c.cfg.Requests {
+	if c.issued >= c.budget {
 		c.depart(fid)
 		return
 	}
-	c.send(sm, fid, f)
+	c.issued++ // every transmission, resends included, spends budget
+	c.transmit(s, fid, f, c.timeout)
 }
 
-// churnTimeoutEv fires at a request's response deadline. A stale fire
-// (flow departed, or the attempt was already answered) is a no-op —
-// the wheel cancels matched deadlines, so this only happens across a
-// resend race. Otherwise the request is resent under the next attempt
-// number (budget permitting) or the flow departs unanswered. Arg.Obj
-// is the *ChurnClient, U0 the wire sequence number.
-func churnTimeoutEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*ChurnClient)
-	fid, att := a.U0>>16, uint16(a.U0)
-	f := c.flows.Ref(fid)
-	if f == nil || !f.waiting || f.attempt != att {
-		return
-	}
-	c.timeouts++
-	if c.issued >= c.cfg.Requests {
-		c.depart(fid)
-		return
-	}
+// answered starts the flow's think time, or departs it.
+func (c *ChurnClient) answered(_ *sim.Simulator, fid uint64, f *entry) {
 	f.attempt++
-	c.send(sm, fid, f)
+	if f.left--; f.left == 0 || c.issued >= c.budget {
+		c.depart(fid)
+		return
+	}
+	f.timer = c.arm(c.expDraw(c.cfg.Think), fid)
 }
 
-// churnArriveEv fires when a replacement flow's arrival gap expires:
-// a fresh flow is admitted and immediately issues its first request.
+// churnArriveEv admits a replacement flow, which sends at once.
 // Arg.Obj is the *ChurnClient.
 func churnArriveEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*ChurnClient)
-	if c.issued >= c.cfg.Requests {
-		return
+	if c := a.Obj.(*ChurnClient); c.issued < c.budget {
+		fid := c.admit()
+		c.issued++
+		c.transmit(sm, fid, c.tbl.Ref(fid), c.timeout)
 	}
-	fid := c.admit()
-	c.send(sm, fid, c.flows.Ref(fid))
 }
-
-// Receive consumes one response from the fabric (implements
-// Endpoint). The wire sequence number decomposes into flow id and
-// attempt; only the exact outstanding attempt matches — responses to
-// departed flows or superseded attempts count as Late.
-func (c *ChurnClient) Receive(s *sim.Simulator, p *pkt.Packet) {
-	fid, att := p.Seq>>16, uint16(p.Seq)
-	f := c.flows.Ref(fid)
-	if f == nil || !f.waiting || f.attempt != att {
-		c.late++
-		p.Release()
-		return
-	}
-	c.wheel.Cancel(f.timer)
-	now := s.Now()
-	lat := now.Sub(f.sent)
-	c.hist.Record(lat)
-	if c.cfg.Hist != nil {
-		c.cfg.Hist.Record(lat)
-	}
-	c.resp++
-	c.rxBytes += uint64(p.Len())
-	c.lastResp = now
-	f.waiting = false
-	f.attempt++
-	f.remaining--
-	p.Release()
-	if f.remaining == 0 || c.issued >= c.cfg.Requests {
-		c.depart(fid)
-		return
-	}
-	f.timer = c.wheel.Arm(c.expDraw(c.cfg.Think), churnThinkEv, sim.Arg{Obj: c, U0: fid})
-}
-
-// Done reports whether the budget is spent and every flow has
-// drained — the fabric idle check. (Residual arrival timers fire as
-// no-ops and the wheel then suspends.)
-func (c *ChurnClient) Done() bool {
-	return c.issued >= c.cfg.Requests && c.flows.Len() == 0
-}
-
-// Issued returns wire transmissions so far.
-func (c *ChurnClient) Issued() uint64 { return c.issued }
-
-// Responses returns responses matched so far.
-func (c *ChurnClient) Responses() uint64 { return c.resp }
-
-// RxBytes returns response bytes received (matched responses only).
-func (c *ChurnClient) RxBytes() uint64 { return c.rxBytes }
-
-// FirstSend and LastResp bracket the client's active span.
-func (c *ChurnClient) FirstSend() sim.Time { return c.firstSend }
-
-// LastResp returns when the last matched response arrived.
-func (c *ChurnClient) LastResp() sim.Time { return c.lastResp }
-
-// Hist exposes the client's private latency histogram.
-func (c *ChurnClient) Hist() *stats.Histogram { return c.hist }
 
 // Stats summarises the run so far.
 func (c *ChurnClient) Stats() ChurnStats {
-	st := ChurnStats{
-		Issued:      c.issued,
-		Responses:   c.resp,
-		Timeouts:    c.timeouts,
-		Late:        c.late,
-		Arrivals:    c.arrivals,
-		Departures:  c.departures,
-		ActiveFlows: c.flows.Len(),
-		Wheel:       c.wheel.Stats(),
-		TableLoad:   c.flows.LoadFactor(),
-	}
-	if c.hist.Count() > 0 {
-		st.P50 = c.hist.Quantile(0.50)
-		st.P99 = c.hist.Quantile(0.99)
-		st.P999 = c.hist.Quantile(0.999)
-	}
-	st.GoodputBps = goodputBps(c.rxBytes, c.firstSend, c.lastResp)
+	st := ChurnStats{Issued: c.issued, Responses: c.resp, Timeouts: c.timeouts, Late: c.late,
+		Arrivals: c.arrivals, Departures: c.departures, ActiveFlows: c.tbl.Len(),
+		Wheel: c.wheel.Stats(), TableLoad: c.tbl.LoadFactor()}
+	st.GoodputBps, st.P50, st.P99, st.P999 = c.summary()
 	return st
 }
 
-// RegisterMetrics registers the churn client's counters and gauges
-// under prefix (e.g. "churn.c0.") into the observability registry.
+// RegisterMetrics registers the client's metrics under prefix (e.g.
+// "churn.c0.") into the observability registry.
 func (c *ChurnClient) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+"issued", func() uint64 { return c.issued })
-	reg.CounterFunc(prefix+"responses", func() uint64 { return c.resp })
-	reg.CounterFunc(prefix+"timeouts", func() uint64 { return c.timeouts })
-	reg.CounterFunc(prefix+"late", func() uint64 { return c.late })
-	reg.CounterFunc(prefix+"arrivals", func() uint64 { return c.arrivals })
-	reg.CounterFunc(prefix+"departures", func() uint64 { return c.departures })
-	reg.GaugeFunc(prefix+"active_flows", func() float64 { return float64(c.flows.Len()) })
-	reg.GaugeFunc(prefix+"table_load", func() float64 { return c.flows.LoadFactor() })
-	reg.CounterFunc(prefix+"wheel_ticks", func() uint64 { return c.wheel.Stats().Ticks })
-	reg.CounterFunc(prefix+"wheel_cascades", func() uint64 { return c.wheel.Stats().Cascades })
-	reg.GaugeFunc(prefix+"wheel_pending", func() float64 { return float64(c.wheel.Len()) })
-	reg.GaugeFunc(prefix+"goodput_gbps", func() float64 {
-		return goodputBps(c.rxBytes, c.firstSend, c.lastResp) / 1e9
-	})
-	reg.GaugeFunc(prefix+"p99_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.99).Microseconds()
-	})
+	c.register(reg, prefix, func() {
+		reg.CounterFunc(prefix+"arrivals", func() uint64 { return c.arrivals })
+		reg.CounterFunc(prefix+"departures", func() uint64 { return c.departures })
+		reg.GaugeFunc(prefix+"active_flows", func() float64 { return float64(c.tbl.Len()) })
+		reg.GaugeFunc(prefix+"table_load", c.tbl.LoadFactor)
+		reg.CounterFunc(prefix+"wheel_ticks", func() uint64 { return c.wheel.Stats().Ticks })
+		reg.CounterFunc(prefix+"wheel_cascades", func() uint64 { return c.wheel.Stats().Cascades })
+		reg.GaugeFunc(prefix+"wheel_pending", func() float64 { return float64(c.wheel.Len()) })
+	}, "p99")
 }

@@ -15,7 +15,7 @@ func churnHarness(t *testing.T, cfg ChurnConfig, echo func(reply *Link) Endpoint
 	var srv endpointHolder
 	up := NewLink(LinkConfig{Name: "up", RateBps: 100e9, Delay: sim.Microsecond}, &srv)
 	cfg.Flow = testFlow(1514)
-	c := NewChurnClient(s, cfg, up)
+	c := NewChurnClient(cfg, up)
 	down := NewLink(LinkConfig{Name: "down", RateBps: 100e9, Delay: sim.Microsecond}, c)
 	srv.ep = echo(down)
 	c.Start(s)
@@ -42,7 +42,7 @@ func TestChurnLoopback(t *testing.T) {
 		})
 		if !c.Done() {
 			t.Fatalf("churn not drained: issued=%d resp=%d active=%d",
-				c.Issued(), c.Responses(), c.Table().Len())
+				c.Issued(), c.Responses(), c.Stats().ActiveFlows)
 		}
 		return c.Stats(), c.LastResp()
 	}
@@ -99,7 +99,7 @@ func TestChurnTimeoutResend(t *testing.T) {
 	})
 	if !c.Done() {
 		t.Fatalf("lossy churn not drained: issued=%d resp=%d active=%d",
-			c.Issued(), c.Responses(), c.Table().Len())
+			c.Issued(), c.Responses(), c.Stats().ActiveFlows)
 	}
 	st := c.Stats()
 	if st.Issued != 512 {

@@ -3,6 +3,8 @@ package net
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"idio/internal/flow"
@@ -17,65 +19,42 @@ import (
 type Mode int
 
 const (
-	// ModeOpen issues requests at a fixed rate regardless of responses
-	// (like traffic.Steady, but through the fabric and response-aware).
+	// ModeOpen issues requests at a fixed rate regardless of responses.
 	ModeOpen Mode = iota
-	// ModeClosed keeps a fixed number of requests outstanding: each
-	// response (or timeout) triggers the next request, so offered load
-	// reacts to service latency — the classic closed-loop client.
+	// ModeClosed keeps Outstanding requests in flight: each answered or
+	// abandoned request triggers the next.
 	ModeClosed
-	// ModeRamp issues open-loop but sweeps the rate linearly from
-	// RateBps to RampToBps across the request budget.
+	// ModeRamp sweeps the open-loop rate from RateBps to RampToBps.
 	ModeRamp
 )
 
 func (m Mode) String() string {
-	switch m {
-	case ModeOpen:
-		return "open"
-	case ModeClosed:
-		return "closed"
-	case ModeRamp:
-		return "ramp"
-	default:
-		return "unknown"
+	if names := [...]string{"open", "closed", "ramp"}; m >= 0 && int(m) < len(names) {
+		return names[m]
 	}
+	return "unknown"
 }
 
-// DefaultTimeout bounds how long a closed-loop client waits for a
-// response before reissuing the window slot.
-const DefaultTimeout = sim.Duration(1) * sim.Millisecond
-
-// RetryConfig enables real retry discipline on a client: instead of
-// the legacy fixed-timeout blind reissue (a timed-out slot issues a
-// brand-new request), a timed-out request is retransmitted with
-// exponential backoff and deterministic jitter, up to a per-request
-// retry budget. Every attempt — original, retry, or hedge — carries a
-// unique wire sequence number, so a response is always matched to the
-// exact attempt that elicited it (Karn's rule: no retransmission
-// ambiguity in the latency samples) and late responses to superseded
-// attempts fall through to Late.
+// RetryConfig is a client's retry discipline: a timed-out request is
+// retransmitted after an exponential, deterministically jittered
+// backoff up to MaxRetries times, then abandoned (Failed). A nil
+// RetryConfig means MaxRetries 0.
 type RetryConfig struct {
-	// MaxRetries bounds retransmissions per request beyond the first
-	// attempt; a request whose budget is spent is abandoned (Failed).
+	// MaxRetries bounds retransmissions per request.
 	MaxRetries int
-	// Backoff is the delay before the first retry; it doubles per
-	// subsequent retry. 0 means the client's Timeout.
-	Backoff sim.Duration
-	// MaxBackoff caps the doubled delay. 0 means 8x Backoff.
-	MaxBackoff sim.Duration
-	// JitterFrac scales each backoff by a deterministic factor drawn
-	// uniformly from [1-JitterFrac, 1+JitterFrac); 0 disables jitter.
-	// Must be in [0,1).
+	// Backoff is the delay before the first retry, doubling per retry
+	// up to MaxBackoff; 0 means the client's Timeout, and a zero
+	// MaxBackoff 8x Backoff.
+	Backoff, MaxBackoff sim.Duration
+	// JitterFrac scales each backoff by a factor drawn uniformly from
+	// [1-JitterFrac, 1+JitterFrac); must be in [0,1).
 	JitterFrac float64
-	// Seed drives the jitter PRNG. Equal seeds give bit-identical
-	// backoff schedules; give concurrent clients distinct seeds so
-	// their retries do not phase-lock.
+	// Seed drives the jitter PRNG (distinct per client, or retries
+	// phase-lock).
 	Seed int64
-	// Hedge, when > 0, issues one duplicate attempt this long after
-	// the original if no response has arrived yet — the hedged-request
-	// tail-latency defence. The first response wins; the loser counts
-	// as Late.
+	// Hedge, when > 0 and below the Timeout, sends one duplicate this
+	// long after an unanswered original and restarts the deadline; the
+	// first response wins, the loser is Late.
 	Hedge sim.Duration
 }
 
@@ -84,521 +63,225 @@ func (r *RetryConfig) Validate() error {
 	if r == nil {
 		return nil
 	}
-	var errs []error
-	if r.MaxRetries < 0 {
-		errs = append(errs, fmt.Errorf("net: retry MaxRetries %d must be >= 0", r.MaxRetries))
-	}
-	if r.Backoff < 0 {
-		errs = append(errs, fmt.Errorf("net: retry Backoff %v must be >= 0", r.Backoff))
-	}
-	if r.MaxBackoff < 0 {
-		errs = append(errs, fmt.Errorf("net: retry MaxBackoff %v must be >= 0", r.MaxBackoff))
-	}
-	if r.JitterFrac < 0 || r.JitterFrac >= 1 {
-		errs = append(errs, fmt.Errorf("net: retry JitterFrac %v outside [0,1)", r.JitterFrac))
-	}
-	if r.Hedge < 0 {
-		errs = append(errs, fmt.Errorf("net: retry Hedge %v must be >= 0", r.Hedge))
-	}
-	return errors.Join(errs...)
+	return errors.Join(
+		errIf(r.MaxRetries < 0 || r.MaxRetries >= math.MaxUint16,
+			"net: retry MaxRetries %d outside [0,%d)", r.MaxRetries, math.MaxUint16),
+		errIf(r.Backoff < 0, "net: retry Backoff %v must be >= 0", r.Backoff),
+		errIf(r.MaxBackoff < 0, "net: retry MaxBackoff %v must be >= 0", r.MaxBackoff),
+		errIf(r.JitterFrac < 0 || r.JitterFrac >= 1, "net: retry JitterFrac %v outside [0,1)", r.JitterFrac),
+		errIf(r.Hedge < 0, "net: retry Hedge %v must be >= 0", r.Hedge))
 }
 
 // ClientConfig describes one RPC client.
 type ClientConfig struct {
-	// Flow is the request template: Src must be the client's address
-	// (the switch routes responses back by it), Dst the server's.
+	// Flow is the request template: Src the client's address (responses
+	// route back by it), Dst the server's.
 	Flow traffic.Flow
 	Mode Mode
-	// RateBps is the offered rate for open/ramp modes.
-	RateBps int64
-	// RampToBps is the final rate for ModeRamp.
-	RampToBps int64
+	// RateBps is the offered rate for open/ramp modes; RampToBps the
+	// final rate for ModeRamp.
+	RateBps, RampToBps int64
 	// Outstanding is the closed-loop window (ModeClosed).
 	Outstanding int
 	// Requests bounds the run: total requests this client issues.
 	Requests uint64
 	// Start delays the first request.
 	Start sim.Time
-	// Timeout bounds the closed-loop wait per request; 0 means
-	// DefaultTimeout. A timed-out slot reissues so lost packets cannot
-	// deadlock the window.
+	// Timeout bounds the wait per attempt; 0 means DefaultTimeout.
 	Timeout sim.Duration
-	// Hist, when non-nil, additionally records every response latency
-	// into this shared histogram (aggregate percentiles across
-	// clients). Each client always keeps its own histogram too.
+	// Hist, when non-nil, also records every response latency.
 	Hist *stats.Histogram
-	// Retry, when non-nil, replaces the legacy blind reissue with
-	// exponential-backoff retransmission (see RetryConfig). Nil keeps
-	// the historical behaviour bit-for-bit.
+	// Retry is the retry discipline; nil means no retries.
 	Retry *RetryConfig
 }
 
 // ClientStats summarises one client's run.
 type ClientStats struct {
-	Issued    uint64
-	Responses uint64
-	// Timeouts counts attempts that hit the response deadline (in
-	// legacy mode, window slots reissued); Late counts responses that
-	// arrived after their attempt timed out or after another attempt
-	// already answered the request (recorded in neither latency nor
-	// goodput).
-	Timeouts uint64
-	Late     uint64
-	// Retries counts backoff retransmissions, Hedges speculative
-	// duplicates, and Failed requests abandoned after the retry budget
-	// was spent (all zero with Retry unset).
-	Retries uint64
-	Hedges  uint64
-	Failed  uint64
-	// GoodputBps is response payload bits per second of wall time from
-	// first request sent to last response received.
-	GoodputBps float64
-	P50        sim.Duration
-	P99        sim.Duration
-	P999       sim.Duration
+	Issued, Responses uint64
+	// Timeouts counts attempts that hit their deadline; Late counts
+	// responses to a timed-out attempt or an answered request.
+	Timeouts, Late uint64
+	// Retries counts backoff retransmissions, Hedges duplicates, Failed
+	// abandoned requests: Issued == Responses + Failed once done.
+	Retries, Hedges, Failed uint64
+	// GoodputBps is response bits/s from first send to last response.
+	GoodputBps     float64
+	P50, P99, P999 sim.Duration
 }
 
-// Client is one simulated client host: a lightweight request issuer
-// (no cache hierarchy) driving requests up its attached link and
-// matching responses by sequence number.
+// Client is one simulated client host (no cache hierarchy): an open,
+// closed or ramp arrival process of requests on a request core.
 type Client struct {
-	cfg  ClientConfig
-	up   *Link
-	hist *stats.Histogram
-
-	// tmpl is the request flow's prebuilt frame; pool recycles request
-	// packets (the uplink's pool when one is installed, else private).
-	tmpl *pkt.Template
-	pool *pkt.Pool
-	// sendPacedFn is the open/ramp pacing event, bound once so
-	// rescheduling allocates nothing.
-	sendPacedFn sim.Event
-
-	// inflight maps wire sequence numbers to their attempt. With Retry
-	// unset there is exactly one attempt per request and the wire seq
-	// IS the request id; with Retry set every attempt (original,
-	// retry, hedge) gets a fresh wire seq from nextSeq, so responses
-	// match the exact attempt that elicited them. Both tables are
-	// compact open-addressing flow tables, not Go maps: inline slots,
-	// deterministic layout, zero steady-state allocations — the
-	// representation that scales to the million-flow engine.
-	inflight *flow.Table[attempt]
-	// reqs tracks open (unanswered, unabandoned) requests in retry
-	// mode; nil in legacy mode.
-	reqs    *flow.Table[reqState]
-	rng     *rand.Rand // backoff jitter; nil in legacy mode
-	nextSeq uint64
-
-	issued   uint64
-	resp     uint64
-	timeouts uint64
-	late     uint64
-	retries  uint64
-	hedges   uint64
-	failed   uint64
-	rxBytes  uint64
-
-	firstSend sim.Time
-	lastResp  sim.Time
-	sentAny   bool
-	started   bool
+	core
+	cfg         ClientConfig
+	retry       RetryConfig // resolved defaults
+	rng         *rand.Rand  // backoff jitter
+	sendPacedFn sim.Event   // bound once so pacing allocates nothing
 }
 
-// attempt is one wire transmission awaiting a response or timeout.
-type attempt struct {
-	req  uint64 // owning request id
-	sent sim.Time
-}
-
-// reqState tracks one open request in retry mode.
-type reqState struct {
-	live    int32 // attempts currently in flight
-	retries int32 // backoff retransmissions issued so far
-	hedged  bool  // the speculative duplicate was issued
-}
-
-// NewClient builds a client sending requests into up. The flow
-// template is validated eagerly so a malformed config fails at build
-// time, not mid-run.
+// NewClient builds a client sending requests into up; a malformed
+// config panics here, not mid-run.
 func NewClient(cfg ClientConfig, up *Link) *Client {
-	if up == nil {
-		panic("net: client needs an uplink")
+	if up == nil || cfg.Requests == 0 {
+		panic("net: client needs an uplink and a request budget")
 	}
-	if cfg.Requests == 0 {
-		panic("net: client needs a request budget")
-	}
-	if cfg.Flow.FrameLen == 0 {
-		cfg.Flow.FrameLen = pkt.MTUFrameLen
-	}
-	tmpl, err := cfg.Flow.Template()
-	if err != nil {
-		panic(fmt.Sprintf("net: client flow: %v", err))
-	}
-	switch cfg.Mode {
-	case ModeOpen:
-		if cfg.RateBps <= 0 {
-			panic("net: open-loop client needs RateBps")
-		}
-	case ModeClosed:
-		if cfg.Outstanding <= 0 {
-			panic("net: closed-loop client needs Outstanding")
-		}
-	case ModeRamp:
-		if cfg.RateBps <= 0 || cfg.RampToBps <= 0 {
-			panic("net: ramping client needs RateBps and RampToBps")
-		}
-	default:
+	orDefault(&cfg.Flow.FrameLen, pkt.MTUFrameLen)
+	orDefault(&cfg.Timeout, DefaultTimeout)
+	tmpl := pkt.MustTemplate(cfg.Flow.Spec(0))
+	switch {
+	case cfg.Mode == ModeOpen && cfg.RateBps <= 0:
+		panic("net: open-loop client needs RateBps")
+	case cfg.Mode == ModeClosed && cfg.Outstanding <= 0:
+		panic("net: closed-loop client needs Outstanding")
+	case cfg.Mode == ModeRamp && (cfg.RateBps <= 0 || cfg.RampToBps <= 0):
+		panic("net: ramping client needs RateBps and RampToBps")
+	case cfg.Mode.String() == "unknown":
 		panic(fmt.Sprintf("net: unknown client mode %d", cfg.Mode))
 	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultTimeout
-	}
+	var r RetryConfig // a copy: the caller's may be shared
 	if cfg.Retry != nil {
 		if err := cfg.Retry.Validate(); err != nil {
 			panic(fmt.Sprintf("net: client retry: %v", err))
 		}
-		// Resolve defaults on a copy so the caller's struct (possibly
-		// shared across clients) is untouched.
-		r := *cfg.Retry
-		if r.Backoff <= 0 {
-			r.Backoff = cfg.Timeout
-		}
-		if r.MaxBackoff <= 0 {
-			r.MaxBackoff = 8 * r.Backoff
-		}
-		cfg.Retry = &r
+		r = *cfg.Retry
 	}
-	c := &Client{
-		cfg:      cfg,
-		up:       up,
-		tmpl:     tmpl,
-		hist:     stats.NewHistogram(5),
-		inflight: flow.New[attempt](cfg.Outstanding),
+	orDefault(&r.Backoff, cfg.Timeout)
+	orDefault(&r.MaxBackoff, 8*r.Backoff)
+	d := min(cfg.Timeout, sim.Duration(float64(r.Backoff)*(1-r.JitterFrac)))
+	if r.Hedge >= cfg.Timeout {
+		r.Hedge = 0 // the original always times out first
+	} else if r.Hedge > 0 {
+		d = min(d, r.Hedge)
 	}
-	if cfg.Retry != nil {
-		c.reqs = flow.New[reqState](cfg.Outstanding)
-		c.rng = rand.New(rand.NewSource(cfg.Retry.Seed))
-	}
+	c := &Client{cfg: cfg, retry: r, rng: rand.New(rand.NewSource(r.Seed))}
+	c.core = core{onAnswer: c.answered, onFire: c.fire, up: up, tmpls: []*pkt.Template{tmpl},
+		tbl: flow.New[entry](cfg.Outstanding), gran: wheelGran(d), hist: stats.NewHistogram(5),
+		shared: cfg.Hist, timeout: cfg.Timeout, budget: cfg.Requests}
 	return c
 }
 
-// Flow returns the client's request flow template.
-func (c *Client) Flow() traffic.Flow { return c.cfg.Flow }
-
-// Start schedules the client's first request(s). Call once.
+// Start schedules the first request(s) on s, the simulator of the
+// client's event domain. Call once.
 func (c *Client) Start(s *sim.Simulator) {
-	if c.started {
-		panic("net: client already started")
-	}
-	c.started = true
+	c.start(s)
 	c.sendPacedFn = c.sendPaced
-	// Draw request packets from the uplink's pool when the fabric
-	// installed one (central recycling/accounting), else a private one.
-	if c.pool = c.up.PacketPool(); c.pool == nil {
-		c.pool = pkt.NewPool(c.tmpl.FrameLen())
-	}
 	s.AtNamed(c.cfg.Start, "client-start", func(sm *sim.Simulator) {
-		switch c.cfg.Mode {
-		case ModeClosed:
-			// Fill the window back-to-back; the uplink serializes.
-			w := uint64(c.cfg.Outstanding)
-			if w > c.cfg.Requests {
-				w = c.cfg.Requests
-			}
-			for i := uint64(0); i < w; i++ {
-				c.send(sm)
-			}
-		default:
+		if c.cfg.Mode != ModeClosed {
 			c.sendPaced(sm)
+			return
+		}
+		for i := 0; i < c.cfg.Outstanding && c.issued < c.budget; i++ {
+			c.issue(sm)
 		}
 	})
 }
 
-// gap returns the open-loop inter-request spacing for the request
-// about to be issued (ramp mode interpolates the rate linearly across
-// the request budget).
+// gap returns the open-loop spacing before the next request (ramp mode
+// interpolates the rate across the request budget).
 func (c *Client) gap() sim.Duration {
 	rate := c.cfg.RateBps
 	if c.cfg.Mode == ModeRamp && c.cfg.Requests > 1 {
-		rate += int64(float64(c.cfg.RampToBps-c.cfg.RateBps) *
-			float64(c.issued) / float64(c.cfg.Requests-1))
-		if rate < 1 {
-			rate = 1
-		}
+		rate = max(1, rate+int64(float64(c.cfg.RampToBps-c.cfg.RateBps)*
+			float64(c.issued)/float64(c.cfg.Requests-1)))
 	}
 	return traffic.InterArrival(rate, c.cfg.Flow.FrameLen)
 }
 
 // sendPaced issues one open/ramp request and schedules the next.
 func (c *Client) sendPaced(s *sim.Simulator) {
-	c.send(s)
-	if c.issued < c.cfg.Requests {
+	c.issue(s)
+	if c.issued < c.budget {
 		s.After(c.gap(), c.sendPacedFn)
 	}
 }
 
-// send issues one new request (consuming request budget) and its first
-// attempt. The request frame is a recycled pool packet stamped from
-// the flow template, so steady-state issue allocates nothing.
-func (c *Client) send(s *sim.Simulator) {
-	req := c.issued
+// issue opens one request and sends its first attempt, whose first
+// deadline is the hedge point when hedging.
+func (c *Client) issue(s *sim.Simulator) {
+	key := c.issued
 	c.issued++
-	if c.reqs != nil {
-		c.reqs.Put(req, reqState{})
-		if c.cfg.Retry.Hedge > 0 {
-			s.AfterArg(c.cfg.Retry.Hedge, clientHedgeEv, sim.Arg{Obj: c, U0: req})
-		}
+	c.tbl.Put(key, entry{left: uint32(c.retry.MaxRetries), port: [2]uint16{c.cfg.Flow.SrcPort, c.cfg.Flow.DstPort}})
+	d := c.timeout
+	if c.retry.Hedge > 0 {
+		d = c.retry.Hedge
 	}
-	c.sendAttempt(s, req)
+	c.transmit(s, key, c.tbl.Ref(key), d)
 }
 
-// sendAttempt puts one attempt for req on the wire and arms its
-// timeout. In legacy mode the wire sequence number is the request id;
-// in retry mode every attempt draws a fresh one so responses are
-// matched to the exact transmission that elicited them.
-func (c *Client) sendAttempt(s *sim.Simulator, req uint64) {
-	w := req
-	if c.reqs != nil {
-		w = c.nextSeq
-		c.nextSeq++
-		if st := c.reqs.Ref(req); st != nil {
-			st.live++
-		}
+// next keeps the closed-loop window full.
+func (c *Client) next(s *sim.Simulator) {
+	if c.cfg.Mode == ModeClosed && c.issued < c.budget {
+		c.issue(s)
 	}
-	p := c.pool.Get(c.tmpl.FrameLen())
-	c.tmpl.Stamp(p, w)
-	now := s.Now()
-	if !c.sentAny {
-		c.sentAny = true
-		c.firstSend = now
-	}
-	s.AfterArg(c.cfg.Timeout, clientTimeoutEv, sim.Arg{Obj: c, U0: w})
-	c.inflight.Put(w, attempt{req: req, sent: now})
-	c.up.Receive(s, p)
 }
 
-// backoff returns the jittered delay before retry n (n >= 1):
-// exponential from Retry.Backoff, capped at Retry.MaxBackoff, scaled
-// by a deterministic factor from [1-JitterFrac, 1+JitterFrac).
+// answered retires an answered request; with a hedge straggler still
+// on the wire the entry stays until it answers (Late) or times out.
+func (c *Client) answered(s *sim.Simulator, key uint64, e *entry) {
+	if e.state |= answered; e.state == answered {
+		c.tbl.Delete(key)
+	}
+	c.next(s)
+}
+
+// fire runs a request's deadline: a spent backoff retransmits, the
+// hedge point sends the duplicate, and a response deadline times out
+// every awaited attempt, then backs off to retry or abandons.
+func (c *Client) fire(s *sim.Simulator, key uint64, e *entry) {
+	switch {
+	case e.state == 0:
+		e.attempt++
+		c.transmit(s, key, e, c.timeout)
+	case e.attempt == 0 && c.retry.Hedge > 0:
+		c.hedges++
+		e.attempt++
+		e.state |= pair
+		c.transmit(s, key, e, c.timeout)
+	default:
+		c.timeouts += uint64(bits.OnesCount8(e.state & (awaiting | pair)))
+		switch {
+		case e.state&answered != 0:
+			c.tbl.Delete(key)
+		case e.left > 0:
+			e.left--
+			e.state = 0
+			c.retries++
+			e.timer = c.arm(c.backoff(c.retry.MaxRetries-int(e.left)), key)
+		default:
+			c.failed++
+			c.tbl.Delete(key)
+			c.next(s)
+		}
+	}
+}
+
+// backoff returns the jittered delay before retry n >= 1.
 func (c *Client) backoff(n int) sim.Duration {
-	r := c.cfg.Retry
+	r := &c.retry
 	d := r.Backoff
 	for i := 1; i < n && d < r.MaxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	if r.JitterFrac > 0 {
+	if d = min(d, r.MaxBackoff); r.JitterFrac > 0 {
 		d = sim.Duration(float64(d) * (1 - r.JitterFrac + 2*r.JitterFrac*c.rng.Float64()))
 	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(d, 1)
 }
-
-// clientTimeoutEv fires at an attempt's response deadline. Legacy
-// mode: the window slot is released (and, in closed mode, reissued) so
-// fabric losses cannot stall the loop. Retry mode: when no sibling
-// attempt is still in flight, either a backoff retransmission is
-// scheduled or — budget spent — the request is abandoned as Failed.
-// Arg.Obj is the *Client, U0 the wire sequence number.
-func clientTimeoutEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*Client)
-	w := a.U0
-	att, ok := c.inflight.Get(w)
-	if !ok {
-		return // answered in time
-	}
-	c.inflight.Delete(w)
-	c.timeouts++
-	if c.reqs == nil {
-		if c.cfg.Mode == ModeClosed && c.issued < c.cfg.Requests {
-			c.send(sm)
-		}
-		return
-	}
-	st, open := c.reqs.Get(att.req)
-	if !open {
-		return // a sibling attempt already answered this request
-	}
-	st.live--
-	if st.live > 0 {
-		c.reqs.Put(att.req, st)
-		return // the hedge (or another retry) is still in flight
-	}
-	if int(st.retries) < c.cfg.Retry.MaxRetries {
-		st.retries++
-		c.reqs.Put(att.req, st)
-		c.retries++
-		sm.AfterArg(c.backoff(int(st.retries)), clientRetryEv, sim.Arg{Obj: c, U0: att.req})
-		return
-	}
-	c.reqs.Delete(att.req)
-	c.failed++
-	if c.cfg.Mode == ModeClosed && c.issued < c.cfg.Requests {
-		c.send(sm)
-	}
-}
-
-// clientRetryEv fires when a request's backoff expires and puts the
-// retransmission on the wire. Arg.Obj is the *Client, U0 the request
-// id.
-func clientRetryEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*Client)
-	req := a.U0
-	if _, open := c.reqs.Get(req); !open {
-		return // answered while the backoff was pending
-	}
-	c.sendAttempt(sm, req)
-}
-
-// clientHedgeEv fires Retry.Hedge after a request was issued: if the
-// request is still open, has not hit its timeout (no retries yet), and
-// has exactly its original attempt in flight, one speculative
-// duplicate goes out. The first response wins; the loser counts as
-// Late. Arg.Obj is the *Client, U0 the request id.
-func clientHedgeEv(sm *sim.Simulator, a sim.Arg) {
-	c := a.Obj.(*Client)
-	req := a.U0
-	st, open := c.reqs.Get(req)
-	if !open || st.hedged || st.retries > 0 || st.live == 0 {
-		return
-	}
-	st.hedged = true
-	c.reqs.Put(req, st)
-	c.hedges++
-	c.sendAttempt(sm, req)
-}
-
-// Receive consumes one response from the fabric (implements
-// Endpoint). Responses are matched to requests by sequence number.
-func (c *Client) Receive(s *sim.Simulator, p *pkt.Packet) {
-	att, ok := c.inflight.Get(p.Seq)
-	if !ok {
-		c.late++ // timed out (or duplicate): not counted as goodput
-		p.Release()
-		return
-	}
-	c.inflight.Delete(p.Seq)
-	if c.reqs != nil {
-		if _, open := c.reqs.Get(att.req); !open {
-			// A sibling attempt (hedge or retry) already answered this
-			// request: the slower copy is late by definition.
-			c.late++
-			p.Release()
-			return
-		}
-		c.reqs.Delete(att.req)
-	}
-	now := s.Now()
-	lat := now.Sub(att.sent)
-	c.hist.Record(lat)
-	if c.cfg.Hist != nil {
-		c.cfg.Hist.Record(lat)
-	}
-	c.resp++
-	c.rxBytes += uint64(p.Len())
-	c.lastResp = now
-	p.Release() // the response dies here; recycle it
-	if c.cfg.Mode == ModeClosed && c.issued < c.cfg.Requests {
-		c.send(s)
-	}
-}
-
-// Done reports whether the client has issued its full budget and has
-// no request awaiting a response, retry, or timeout — the fabric idle
-// check.
-func (c *Client) Done() bool {
-	return c.issued >= c.cfg.Requests && c.inflight.Len() == 0 && c.reqs.Len() == 0
-}
-
-// Issued returns requests sent so far.
-func (c *Client) Issued() uint64 { return c.issued }
-
-// Responses returns responses matched so far.
-func (c *Client) Responses() uint64 { return c.resp }
-
-// RxBytes returns response bytes received (matched responses only).
-func (c *Client) RxBytes() uint64 { return c.rxBytes }
-
-// FirstSend and LastResp bracket the client's active span.
-func (c *Client) FirstSend() sim.Time { return c.firstSend }
-
-// LastResp returns when the last matched response arrived.
-func (c *Client) LastResp() sim.Time { return c.lastResp }
-
-// Hist exposes the client's private latency histogram.
-func (c *Client) Hist() *stats.Histogram { return c.hist }
 
 // Stats summarises the run so far.
 func (c *Client) Stats() ClientStats {
-	st := ClientStats{
-		Issued:    c.issued,
-		Responses: c.resp,
-		Timeouts:  c.timeouts,
-		Late:      c.late,
-		Retries:   c.retries,
-		Hedges:    c.hedges,
-		Failed:    c.failed,
-	}
-	if c.hist.Count() > 0 {
-		st.P50 = c.hist.Quantile(0.50)
-		st.P99 = c.hist.Quantile(0.99)
-		st.P999 = c.hist.Quantile(0.999)
-	}
-	st.GoodputBps = goodputBps(c.rxBytes, c.firstSend, c.lastResp)
+	st := ClientStats{Issued: c.issued, Responses: c.resp, Timeouts: c.timeouts, Late: c.late,
+		Retries: c.retries, Hedges: c.hedges, Failed: c.failed}
+	st.GoodputBps, st.P50, st.P99, st.P999 = c.summary()
 	return st
 }
 
-// GoodputBps converts bytes received over a [first,last] span to bits
-// per second (0 when the span is empty) — the goodput definition every
-// client and aggregate summary shares.
-func GoodputBps(bytes uint64, first, last sim.Time) float64 {
-	return goodputBps(bytes, first, last)
-}
-
-// goodputBps converts bytes over a [first,last] span to bits/second.
-func goodputBps(bytes uint64, first, last sim.Time) float64 {
-	span := last.Sub(first)
-	if span <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 * float64(sim.Second) / float64(span)
-}
-
-// RegisterMetrics registers the client's counters under prefix (e.g.
+// RegisterMetrics registers the client's metrics under prefix (e.g.
 // "rpc.c0.") into the observability registry.
 func (c *Client) RegisterMetrics(reg *obs.Registry, prefix string) {
-	reg.CounterFunc(prefix+"issued", func() uint64 { return c.issued })
-	reg.CounterFunc(prefix+"responses", func() uint64 { return c.resp })
-	reg.CounterFunc(prefix+"timeouts", func() uint64 { return c.timeouts })
-	reg.CounterFunc(prefix+"late", func() uint64 { return c.late })
-	if c.cfg.Retry != nil {
+	c.register(reg, prefix, func() {
 		reg.CounterFunc(prefix+"retries", func() uint64 { return c.retries })
 		reg.CounterFunc(prefix+"hedges", func() uint64 { return c.hedges })
 		reg.CounterFunc(prefix+"failed", func() uint64 { return c.failed })
-	}
-	reg.GaugeFunc(prefix+"goodput_gbps", func() float64 {
-		return goodputBps(c.rxBytes, c.firstSend, c.lastResp) / 1e9
-	})
-	reg.GaugeFunc(prefix+"p50_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.50).Microseconds()
-	})
-	reg.GaugeFunc(prefix+"p99_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.99).Microseconds()
-	})
-	reg.GaugeFunc(prefix+"p999_us", func() float64 {
-		if c.hist.Count() == 0 {
-			return 0
-		}
-		return c.hist.Quantile(0.999).Microseconds()
-	})
+	}, "p50", "p99", "p999")
 }

@@ -372,8 +372,8 @@ func TestRetryConfigValidate(t *testing.T) {
 }
 
 // TestClientRetryBackoff: with a retry discipline, requests dropped by
-// a transiently-down link are retransmitted (not abandoned like the
-// legacy blind reissue), so the full budget completes with Responses
+// a transiently-down link are retransmitted (not abandoned as with no
+// retry budget), so the full budget completes with Responses
 // == Requests — and the run replays bit-identically.
 func TestClientRetryBackoff(t *testing.T) {
 	run := func() ClientStats {
@@ -401,8 +401,8 @@ func TestClientRetryBackoff(t *testing.T) {
 		t.Fatalf("timeouts=%d retries=%d, want 2/2 (one retransmission per dropped request)",
 			st.Timeouts, st.Retries)
 	}
-	// The retransmissions recover the dropped requests: unlike legacy
-	// reissue (8 issued / 6 answered), every request is answered.
+	// The retransmissions recover the dropped requests: unlike a client
+	// without retries (8 issued / 6 answered), every request is answered.
 	if st.Issued != 8 || st.Responses != 8 || st.Failed != 0 || st.Late != 0 {
 		t.Fatalf("issued=%d resp=%d failed=%d late=%d; want 8/8/0/0",
 			st.Issued, st.Responses, st.Failed, st.Late)

@@ -69,9 +69,12 @@ func (o *Observer) Tracing() bool { return o != nil && o.tr != nil }
 
 // TracingPacket reports whether the packet with the given sequence
 // number is in the trace sample. Hot paths branch on this before
-// assembling packet-level events.
+// assembling packet-level events. The sequence is folded (seq ^
+// seq>>16) before sampling, so fabric clients' key<<16 | attempt wire
+// numbers sample one request in sampleN rather than every first
+// attempt; below 1<<16 the fold changes nothing.
 func (o *Observer) TracingPacket(seq uint64) bool {
-	return o != nil && o.tr != nil && seq%o.tr.sampleN == 0
+	return o != nil && o.tr != nil && (seq^seq>>16)%o.tr.sampleN == 0
 }
 
 // SetSink replaces the tracer's sink. It is a no-op when tracing is

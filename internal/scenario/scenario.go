@@ -113,7 +113,8 @@ type RPCSpec struct {
 	// TimeoutUS bounds the per-request response wait (0 = 1000).
 	TimeoutUS float64 `json:"timeoutUS,omitempty"`
 	// Retry enables exponential-backoff retransmission (and optional
-	// hedging) on every client; omitted keeps the legacy blind reissue.
+	// hedging) on every client; omitted means no retries (a timed-out
+	// request fails).
 	Retry *RetrySpec `json:"retry,omitempty"`
 }
 
@@ -177,10 +178,6 @@ type ChurnSpec struct {
 	// Seed drives each client's PRNG (client i uses Seed+i).
 	Seed     int64 `json:"seed,omitempty"`
 	FrameLen int   `json:"frameLen,omitempty"`
-	// WheelGranUS and WheelSlots shape the timer wheels (0 = 64us,
-	// 4096 slots).
-	WheelGranUS float64 `json:"wheelGranUS,omitempty"`
-	WheelSlots  int     `json:"wheelSlots,omitempty"`
 }
 
 // config converts to the client-level churn config for client i of
@@ -207,8 +204,6 @@ func (c *ChurnSpec) config(i, nClients int) fnet.ChurnConfig {
 		SrcPorts:   c.SrcPorts,
 		DstPorts:   c.DstPorts,
 		Seed:       c.Seed + int64(i),
-		WheelGran:  sim.Duration(c.WheelGranUS * float64(sim.Microsecond)),
-		WheelSlots: c.WheelSlots,
 	}
 }
 

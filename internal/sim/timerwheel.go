@@ -2,10 +2,10 @@
 // layered on the simulator.
 //
 // The per-event timeout pattern — one scheduled event per outstanding
-// request, firing as a no-op when the response won (the legacy client
-// path) — costs a heap/wheel entry and a dispatch per request even
-// when nothing times out. At a million outstanding requests that is a
-// million queued events doing nothing. The hashed wheel replaces them
+// request, firing as a no-op when the response won — costs a
+// heap/wheel entry and a dispatch per request even when nothing times
+// out. At a million outstanding requests that is a million queued
+// events doing nothing. The hashed wheel replaces them
 // with ONE scheduled event per granularity tick: timers live in
 // per-slot intrusive doubly-linked lists carved from a single slab,
 // so Arm is a list append, Cancel an unlink (both O(1), both
@@ -24,11 +24,11 @@
 // setting: each wheel is private to one event domain and its tick is
 // an ordinary simulator event.
 //
-// Note the wheel path is NOT event-identical to per-event timeouts:
+// The wheel path is not event-identical to per-event timeouts:
 // expiries quantize to the granularity and cancels remove (rather
 // than fire-and-noop) the timer, changing the simulator's event
-// sequence. Models that must preserve historical outputs keep the
-// per-event path as their default and opt into the wheel explicitly.
+// sequence. Every network client (internal/net's request core) keeps
+// its deadlines on a private wheel.
 
 package sim
 
@@ -123,11 +123,21 @@ func NewTimerWheel(s *Simulator, gran Duration, slots int) *TimerWheel {
 // Gran returns the wheel's tick granularity.
 func (w *TimerWheel) Gran() Duration { return w.gran }
 
-// Len returns the number of armed timers.
-func (w *TimerWheel) Len() int { return w.count }
+// Len returns the number of armed timers. Safe on a nil wheel (0).
+func (w *TimerWheel) Len() int {
+	if w == nil {
+		return 0
+	}
+	return w.count
+}
 
-// Stats returns the activity counters.
-func (w *TimerWheel) Stats() TimerWheelStats { return w.stats }
+// Stats returns the activity counters. Safe on a nil wheel (zero).
+func (w *TimerWheel) Stats() TimerWheelStats {
+	if w == nil {
+		return TimerWheelStats{}
+	}
+	return w.stats
+}
 
 // Arm schedules fn(arg) to fire at the first wheel tick at or after
 // now+d (d must be positive) and returns a handle for Cancel. O(1):

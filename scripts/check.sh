@@ -5,6 +5,14 @@
 # benchmark. Mirrors `make check` for environments without make.
 set -eux
 cd "$(dirname "$0")/.."
+# Formatting gate: every Go file in the tree (root module and
+# perfbench) must be gofmt-clean.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "gofmt -l lists unformatted files:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
@@ -44,24 +52,9 @@ go run ./cmd/obscheck "$obsdir/trace.json" "$obsdir/results.json"
 # Serial-vs-parallel byte identity of every registered experiment is
 # TestRegistryParallelDeterminism in ./cmd/idiosim (run by go test
 # above): each quick experiment at -j 1 and -j 2, stdout and CSVs.
-# Sharded smoke: the same scenario partitioned into 4 event domains
-# must produce byte-identical stdout and stats to the single-domain
-# run — the tentpole determinism guarantee, checked end to end.
-go run ./cmd/idiosim -scenario scenarios/rpc_closed_loop.json \
-    -stats "$obsdir/rpc1.stats" > "$obsdir/rpc1.out"
-go run ./cmd/idiosim -scenario scenarios/rpc_closed_loop.json -shards 4 \
-    -stats "$obsdir/rpc4.stats" > "$obsdir/rpc4.out"
-cmp "$obsdir/rpc1.out" "$obsdir/rpc4.out"
-cmp "$obsdir/rpc1.stats" "$obsdir/rpc4.stats"
-# QoS smoke: the mixed-class scenario must stay byte-identical between
-# single-domain and sharded runs — per-class histogram merging is
-# order-independent by construction.
-go run ./cmd/idiosim -scenario scenarios/qos_mix.json \
-    -stats "$obsdir/qos1.stats" > "$obsdir/qos1.out"
-go run ./cmd/idiosim -scenario scenarios/qos_mix.json -shards 4 \
-    -stats "$obsdir/qos4.stats" > "$obsdir/qos4.out"
-cmp "$obsdir/qos1.out" "$obsdir/qos4.out"
-cmp "$obsdir/qos1.stats" "$obsdir/qos4.stats"
+# Sharded byte identity of every topology scenario (stdout and
+# -stats at -shards 4 against the single-domain golden files) is
+# TestGolden in the root package (run by go test above).
 # Chaos smoke: the chaos scenario's drained run must hold the pool-leak
 # gate: a leak surfaces as the "pkt pool: outstanding=" line, absent
 # when healthy.
@@ -70,16 +63,6 @@ if grep -q "pkt pool: outstanding=" "$obsdir/chaos_scenario.txt"; then
     echo "chaos scenario leaked packets" >&2
     exit 1
 fi
-# Churn smoke: the churn scenario — whose per-flow state lives in the
-# compact flow table with every deadline on the hashed timer wheel —
-# must stay byte-identical between single-domain and sharded runs,
-# stats dump included.
-go run ./cmd/idiosim -scenario scenarios/churn_flows.json \
-    -stats "$obsdir/churn1.stats" > "$obsdir/churn1.out"
-go run ./cmd/idiosim -scenario scenarios/churn_flows.json -shards 4 \
-    -stats "$obsdir/churn4.stats" > "$obsdir/churn4.out"
-cmp "$obsdir/churn1.out" "$obsdir/churn4.out"
-cmp "$obsdir/churn1.stats" "$obsdir/churn4.stats"
 # Pool-leak gate after the chaos smokes: the lossy-fabric regression
 # test asserts PktPool.Outstanding == 0 with every resilience path hit.
 go test -run 'TestLossyFabricNoPoolLeak|TestClusterAllocsPerRequest' -count=1 .
